@@ -573,9 +573,10 @@ func BenchmarkBatchSimulatorThroughput(b *testing.B) {
 
 // BenchmarkBroadcastTrials measures trial-level batching where it pays:
 // W seeded Theorem 16 trials on one topology, solo versus one
-// BroadcastBatch call. The batch shares one plan — the uncached O(n*m)
-// diameter computation, protocol constants, validation — across all W
-// lanes and drives them in lockstep on one engine. trials/s is the
+// BroadcastBatch call. The batch shares one plan — protocol constants,
+// validation — across all W lanes and drives them in lockstep on one
+// engine; the diameter is stored on the graph after its first
+// computation, so neither path recomputes it per trial. trials/s is the
 // comparable metric.
 func BenchmarkBroadcastTrials(b *testing.B) {
 	g := graph.Star(1024)

@@ -42,8 +42,9 @@
 // advance W independent trials of the same topology in lockstep:
 // radio.BatchSimulator runs W lanes over one shared CSR graph, each
 // lane's slot sequence byte-identical to a solo run. The batch path
-// surfaces as core.BroadcastBatch (one plan — diameter, protocol
-// constants, validation — shared across all W lanes), the
+// surfaces as core.BroadcastBatch (one plan — protocol constants,
+// validation — shared across all W lanes; the diameter needs no sharing,
+// since graph.Diameter computes it once per graph and stores it), the
 // workload.BatchRunner interface, and the sweep engine's Spec.BatchW
 // knob (CLI -batchw): a pure throughput dial, bit-identical at every
 // width.

@@ -31,7 +31,18 @@ type Graph struct {
 	csrMu  sync.Mutex
 	csrOff []int32
 	csrAdj []int32
+
+	// diamMu guards the stored Diameter result, computed on first call
+	// and cleared by AddEdge like the CSR mirror.
+	diamMu  sync.Mutex
+	diamOK  bool
+	diam    int
+	diamErr error
 }
+
+// errDisconnected is the error Eccentricity and Diameter report for a
+// disconnected graph.
+var errDisconnected = errors.New("graph: disconnected")
 
 // New returns a graph with n isolated vertices.
 func New(n int) *Graph {
@@ -73,6 +84,7 @@ func (g *Graph) AddEdge(u, v int) error {
 	g.adj[v] = insertSorted(g.adj[v], u)
 	g.m++
 	g.csrOff, g.csrAdj = nil, nil // invalidate the CSR mirror
+	g.diamOK = false              // and the stored diameter
 	return nil
 }
 
@@ -211,7 +223,7 @@ func (g *Graph) Eccentricity(v int) (int, error) {
 	ecc := 0
 	for _, d := range g.BFS(v) {
 		if d == -1 {
-			return 0, errors.New("graph: disconnected")
+			return 0, errDisconnected
 		}
 		if d > ecc {
 			ecc = d
@@ -220,24 +232,100 @@ func (g *Graph) Eccentricity(v int) (int, error) {
 	return ecc, nil
 }
 
-// Diameter returns the exact diameter D = max_{u,v} dist(u,v) by running a
-// BFS from every vertex. It errors on disconnected graphs. Intended for
-// the n <= a-few-thousand graphs used in experiments.
+// Diameter returns the exact diameter D = max_{u,v} dist(u,v), or an
+// error ("graph: disconnected") if the graph is disconnected; the empty
+// graph has diameter 0.
+//
+// The value is computed on the first call and stored on the graph; every
+// later call returns the stored result without allocating. AddEdge
+// clears it. Like CSR, Diameter is safe for concurrent use once
+// construction is finished (concurrent first calls compute it once and
+// all see the same result); it must not race with AddEdge.
+//
+// The computation is iFUB (Crescenzi et al., "On computing the diameter
+// of real-world undirected graphs", TCS 2013) over the CSR arrays: one
+// BFS from a maximum-degree vertex u, then BFS runs from the vertices of
+// u's BFS levels, deepest level first, until the largest eccentricity
+// found meets the bound 2(i-1) on every pair left in levels below i. On
+// typical topologies that is a handful of BFS runs instead of n.
 func (g *Graph) Diameter() (int, error) {
-	if g.N() == 0 {
+	g.diamMu.Lock()
+	defer g.diamMu.Unlock()
+	if !g.diamOK {
+		g.diam, g.diamErr = g.ifub()
+		g.diamOK = true
+	}
+	return g.diam, g.diamErr
+}
+
+// ifub computes the exact diameter with iFUB (see Diameter). One buffer
+// holds the start vertex's BFS order plus the dist/queue pair that every
+// later BFS reuses.
+func (g *Graph) ifub() (int, error) {
+	n := g.N()
+	if n == 0 {
 		return 0, nil
 	}
-	diam := 0
-	for v := 0; v < g.N(); v++ {
-		ecc, err := g.Eccentricity(v)
-		if err != nil {
-			return 0, err
-		}
-		if ecc > diam {
-			diam = ecc
+	off, adj := g.CSR()
+	u := 0
+	for v := range g.adj {
+		if len(g.adj[v]) > len(g.adj[u]) {
+			u = v
 		}
 	}
-	return diam, nil
+	buf := make([]int32, 3*n)
+	order, dist, queue := buf[:n], buf[n:2*n], buf[2*n:]
+	ecc, reached := bfsCSR(off, adj, int32(u), dist, order)
+	if reached < n {
+		return 0, errDisconnected
+	}
+	// order lists the vertices by distance from u; level i is
+	// order[start[i]:start[i+1]].
+	start := make([]int, ecc+2)
+	for k := n - 1; k >= 0; k-- {
+		start[dist[order[k]]] = k
+	}
+	start[ecc+1] = n
+	lb, ub := ecc, 2*ecc // ecc(u) <= D <= 2 ecc(u)
+	for i := ecc; lb < ub; i-- {
+		for _, x := range order[start[i]:start[i+1]] {
+			if e, _ := bfsCSR(off, adj, x, dist, queue); e > lb {
+				if lb = e; lb >= ub {
+					return lb, nil
+				}
+			}
+		}
+		// Every pair not yet covered lies in levels < i, at distance
+		// at most 2(i-1) through u.
+		ub = 2 * (i - 1)
+	}
+	return lb, nil
+}
+
+// bfsCSR runs a BFS from src over the CSR arrays, writing hop distances
+// to dist (-1 for unreached vertices) and the reached vertices, in
+// nondecreasing distance order, to queue. It returns src's eccentricity
+// within its component and the number of vertices reached.
+func bfsCSR(off, adj []int32, src int32, dist, queue []int32) (ecc, reached int) {
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue[0] = src
+	head, tail := 0, 1
+	for head < tail {
+		v := queue[head]
+		head++
+		dv := dist[v] + 1
+		for _, w := range adj[off[v]:off[v+1]] {
+			if dist[w] < 0 {
+				dist[w] = dv
+				queue[tail] = w
+				tail++
+			}
+		}
+	}
+	return int(dist[queue[tail-1]]), tail
 }
 
 // TwoHopNeighbors returns the set N2(v): vertices at distance exactly 1 or

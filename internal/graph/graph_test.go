@@ -1,8 +1,12 @@
 package graph
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func TestNewEmpty(t *testing.T) {
@@ -425,5 +429,216 @@ func TestRandomGeometric(t *testing.T) {
 	// Default radius (r <= 0) sits above the connectivity threshold.
 	if def := RandomGeometric(50, 0, 11); !def.IsConnected() {
 		t.Error("default radius sample disconnected")
+	}
+}
+
+// diameterAllPairs is the reference Diameter: the maximum eccentricity
+// over a BFS from every vertex.
+func diameterAllPairs(g *Graph) (int, error) {
+	diam := 0
+	for v := 0; v < g.N(); v++ {
+		ecc, err := g.Eccentricity(v)
+		if err != nil {
+			return 0, err
+		}
+		if ecc > diam {
+			diam = ecc
+		}
+	}
+	return diam, nil
+}
+
+// rawGNP samples G(n,p) without conditioning on connectivity, so sparse
+// samples are disconnected.
+func rawGNP(n int, p float64, seed uint64) *Graph {
+	g := New(n)
+	r := rng.New(seed)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if rng.Bernoulli(r, p) {
+				g.mustAddEdge(i, j)
+			}
+		}
+	}
+	g.name = fmt.Sprintf("raw-gnp-%d-%.2f-%d", n, p, seed)
+	return g
+}
+
+// diameterCases returns graphs from every generator plus small and
+// disconnected ones.
+func diameterCases() []*Graph {
+	var gs []*Graph
+	for n := 0; n <= 12; n++ {
+		gs = append(gs, Path(n), Cycle(n), Star(n))
+	}
+	for n := 0; n <= 8; n++ {
+		gs = append(gs, Clique(n), K2k(n)) // K2k(0): two isolated vertices
+	}
+	for r := 0; r <= 6; r++ {
+		for c := 0; c <= 7; c++ {
+			gs = append(gs, Grid(r, c))
+		}
+	}
+	for d := 0; d <= 6; d++ {
+		gs = append(gs, Hypercube(d))
+	}
+	for spine := 0; spine <= 6; spine++ {
+		for legs := 0; legs <= 3; legs++ {
+			gs = append(gs, Caterpillar(spine, legs))
+		}
+	}
+	for k := 1; k <= 6; k++ {
+		for tail := 0; tail <= 7; tail++ {
+			gs = append(gs, Lollipop(k, tail))
+		}
+	}
+	for seed := uint64(0); seed < 40; seed++ {
+		n := 1 + int(seed*7%61)
+		gs = append(gs,
+			RandomTree(n, seed),
+			GNP(n, 0.08, seed), GNP(n, 0.3, seed),
+			RandomGeometric(n, 0, seed), RandomGeometric(n, 0.2, seed),
+			RandomBoundedDegree(n, 3, seed),
+			rawGNP(n, 0.04, seed), rawGNP(n, 0.15, seed))
+	}
+	// Disconnected shapes around the start vertex: an isolated vertex
+	// beside a hub, and two components of different diameter.
+	hub := New(7)
+	for v := 1; v < 6; v++ {
+		hub.mustAddEdge(0, v)
+	}
+	two := New(9)
+	for v := 0; v+1 < 4; v++ {
+		two.mustAddEdge(v, v+1)
+	}
+	for v := 4; v < 9; v++ {
+		if v != 6 {
+			two.mustAddEdge(6, v)
+		}
+	}
+	return append(gs, hub, two, New(2), New(3))
+}
+
+func TestDiameterMatchesAllPairs(t *testing.T) {
+	disconnected := 0
+	for i, g := range diameterCases() {
+		want, wantErr := diameterAllPairs(g)
+		got, err := g.Diameter()
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("case %d %s (n=%d m=%d): error %v, want %v", i, g.Name(), g.N(), g.M(), err, wantErr)
+		}
+		if err != nil {
+			disconnected++
+			if err.Error() != "graph: disconnected" {
+				t.Fatalf("case %d %s: error %q", i, g.Name(), err)
+			}
+			continue
+		}
+		if got != want {
+			t.Fatalf("case %d %s (n=%d m=%d): iFUB diameter %d, all-pairs %d", i, g.Name(), g.N(), g.M(), got, want)
+		}
+	}
+	if disconnected < 10 {
+		t.Fatalf("only %d disconnected cases; the error path is under-tested", disconnected)
+	}
+}
+
+func TestDiameterClearedByAddEdge(t *testing.T) {
+	g := Path(3)
+	if d, err := g.Diameter(); err != nil || d != 2 {
+		t.Fatalf("path-3 diameter = %d, %v", d, err)
+	}
+	if err := g.AddEdge(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := g.Diameter(); err != nil || d != 1 {
+		t.Fatalf("after AddEdge(0,2): diameter = %d, %v, want 1", d, err)
+	}
+	// A stored error is cleared too.
+	h := New(2)
+	if _, err := h.Diameter(); err == nil {
+		t.Fatal("two isolated vertices: no error")
+	}
+	if err := h.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := h.Diameter(); err != nil || d != 1 {
+		t.Fatalf("after AddEdge(0,1): diameter = %d, %v, want 1", d, err)
+	}
+}
+
+func TestDiameterNotCarriedByClone(t *testing.T) {
+	g := Path(4)
+	if d, _ := g.Diameter(); d != 3 {
+		t.Fatalf("path-4 diameter = %d", d)
+	}
+	c := g.Clone()
+	if c.diamOK {
+		t.Fatal("Clone copied the stored diameter")
+	}
+	if err := c.AddEdge(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := c.Diameter(); err != nil || d != 2 {
+		t.Fatalf("clone + {0,3}: diameter = %d, %v, want 2", d, err)
+	}
+	if d, _ := g.Diameter(); d != 3 {
+		t.Fatalf("original diameter changed to %d", d)
+	}
+}
+
+func TestDiameterConcurrent(t *testing.T) {
+	g := RandomGeometric(300, 0, 5)
+	want, err := diameterAllPairs(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	got := make([]int, workers)
+	errs := make([]error, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			got[w], errs[w] = g.Diameter()
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for w := range got {
+		if errs[w] != nil || got[w] != want {
+			t.Fatalf("goroutine %d: diameter %d, %v; want %d", w, got[w], errs[w], want)
+		}
+	}
+}
+
+func TestDiameterWarmAllocs(t *testing.T) {
+	g := Grid(8, 8)
+	if _, err := g.Diameter(); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { _, _ = g.Diameter() }); a != 0 {
+		t.Fatalf("warm Diameter: %v allocs/op, want 0", a)
+	}
+}
+
+// BenchmarkDiameter measures the cold computation: each iteration runs
+// Diameter on a fresh copy of the graph (its CSR mirror included).
+func BenchmarkDiameter(b *testing.B) {
+	for _, g := range []*Graph{Star(1024), Grid(32, 32), RandomGeometric(4096, 0, 1)} {
+		b.Run(g.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := g.Clone()
+				b.StartTimer()
+				if _, err := c.Diameter(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

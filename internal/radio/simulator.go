@@ -44,11 +44,6 @@ type Simulator struct {
 	maxDeg int
 	base   Config // template captured by NewSimulator (Seed overridden per run)
 
-	// diameter cache for Config.KnowDiameter runs.
-	diamComputed bool
-	diamCached   int
-	diamErr      error
-
 	// per-run binding (scalars from the run's Config).
 	model     Model
 	trace     func(Event)
@@ -182,14 +177,10 @@ func (s *Simulator) bind(cfg Config) error {
 	if cfg.KnowDiameter {
 		d := cfg.Diameter
 		if d == 0 {
-			if !s.diamComputed {
-				s.diamCached, s.diamErr = s.g.Diameter()
-				s.diamComputed = true
+			var err error
+			if d, err = s.g.Diameter(); err != nil {
+				return fmt.Errorf("radio: KnowDiameter: %w", err)
 			}
-			if s.diamErr != nil {
-				return fmt.Errorf("radio: KnowDiameter: %w", s.diamErr)
-			}
-			d = s.diamCached
 		}
 		s.diam = d
 	}
