@@ -2,8 +2,7 @@
 // row of the paper's Table 1 (plus the Partition(beta) lemmas and the
 // decay baseline), printing measured time (slots) and energy
 // (max transmit+listen per device) across size sweeps together with
-// fitted growth shapes. Its output is the data recorded in
-// EXPERIMENTS.md.
+// fitted growth shapes.
 //
 // Usage:
 //
@@ -76,7 +75,7 @@ func main() {
 	if *manifest != "" {
 		m := rec.BuildManifest("energybench", map[string]any{
 			"quick": *quick, "seeds": *seeds,
-		}, nil, *workers, 0)
+		}, nil, *workers)
 		if err := m.WriteFile(*manifest); err != nil {
 			fmt.Fprintln(os.Stderr, "energybench:", err)
 			os.Exit(1)

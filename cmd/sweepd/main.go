@@ -94,7 +94,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "master seed for per-trial seed derivation")
 	source := flag.Int("source", 0, "broadcast source vertex")
 	lean := flag.Bool("lean", false, "experiment-scale constants for heavy algorithms")
-	batchW := flag.Int("batchw", 0, "trial-batching width on the workers (results identical at any width)")
 	ci := flag.Float64("ci", 0, "adaptive stop: target relative CI half-width per cell (0 = fixed -trials; requires -max-trials)")
 	ciMeasure := flag.String("ci-measure", "slots,maxEnergy", "comma-separated measures the -ci rule targets")
 	ciConf := flag.Float64("ci-conf", 0.95, "confidence level of the Student-t intervals")
@@ -175,7 +174,7 @@ func main() {
 			cfg.MaxTrials = *trials // fixed run through the journaled engine
 		}
 		cfg.Spec, err = buildSpec(topos, wparams, faults, *models, *algos, *wl,
-			*trials, *seed, *source, *lean, *batchW)
+			*trials, *seed, *source, *lean)
 		if err == nil {
 			spec = cfg.Spec
 			meta = adaptiveMeta{BatchSize: cfg.BatchSize, MinTrials: cfg.MinTrials,
@@ -259,7 +258,7 @@ func main() {
 		}
 	}
 	if manifest != "" && rec != nil {
-		m := rec.BuildManifest("sweepd", spec, meta, 0, *batchW)
+		m := rec.BuildManifest("sweepd", spec, meta, 0)
 		if err := m.WriteFile(manifest); err != nil {
 			fatal(err)
 		}
@@ -271,12 +270,12 @@ func main() {
 // cells, and the manifest's spec echo all agree between the two tools
 // (Trials is ignored by the controller but part of the echoed spec).
 func buildSpec(topos, wparams, faults []string, models, algos, wl string,
-	trials int, seed uint64, source int, lean bool, batchW int) (sweep.Spec, error) {
+	trials int, seed uint64, source int, lean bool) (sweep.Spec, error) {
 	if len(topos) == 0 {
 		return sweep.Spec{}, errors.New("at least one -topo is required")
 	}
 	spec := sweep.Spec{Trials: trials, MasterSeed: seed, Source: source, Lean: lean,
-		Workload: wl, BatchW: batchW}
+		Workload: wl}
 	for _, s := range topos {
 		ts, err := sweep.ParseTopology(s)
 		if err != nil {

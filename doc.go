@@ -38,17 +38,6 @@
 // the event stream is deterministic and pinned byte-for-byte by the
 // golden trace test in internal/radio/testdata.
 //
-// Because every device is a pure step function, one scheduler can also
-// advance W independent trials of the same topology in lockstep:
-// radio.BatchSimulator runs W lanes over one shared CSR graph, each
-// lane's slot sequence byte-identical to a solo run. The batch path
-// surfaces as core.BroadcastBatch (one plan — protocol constants,
-// validation — shared across all W lanes; the diameter needs no sharing,
-// since graph.Diameter computes it once per graph and stores it), the
-// workload.BatchRunner interface, and the sweep engine's Spec.BatchW
-// knob (CLI -batchw): a pure throughput dial, bit-identical at every
-// width.
-//
 // Transmit payloads are interned in per-device mailbox cells for exactly
 // one slot (listeners resolve them at delivery; the cells are cleared
 // when the slot completes, so large payloads are collectable mid-run),
@@ -64,11 +53,12 @@
 // through core.WithSimCache), so thousands of Monte-Carlo trials on
 // one topology stop churning the allocator. BENCH_pr4.json records
 // the step-ABI reference measurement (5.6-6.3x over the deleted PR-3
-// goroutine engine with -97% to -99% allocations); BENCH_pr6.json
-// adds the batching point — 2.2x trials/s on the plan-heavy Theorem
-// 16 workload at BatchW=16 (BenchmarkBroadcastTrials), with the
-// substrate itself at parity (BenchmarkBatchSimulatorThroughput) and
-// the solo hot loop at 0 allocs/op.
+// goroutine engine with -97% to -99% allocations), and the hot loop
+// stays at 0 allocs/op (BenchmarkSimulatorThroughput, a CI gate). Every
+// trial runs on this one path. graph.Diameter computes the diameter
+// once per graph and stores it, so trials on a shared topology share no
+// further work worth batching: advancing several trials in lockstep on
+// one scheduler measured slower than running them one after another.
 //
 // # Monte-Carlo sweeps
 //
@@ -96,10 +86,9 @@
 // every device stream, and consume no protocol randomness: a plan at
 // rate 0 reproduces the golden slot trace and golden sweep report byte
 // for byte, and at any rate the injected fault set is a pure function
-// of (seed, device, slot) — bit-identical between the solo and batch
-// engines at every -batchw, and for any worker count. The awake-slot
-// invariant MaxEnergy() <= Slots survives injection, since faults only
-// ever remove awake slots.
+// of (seed, device, slot) — bit-identical for any worker count. The
+// awake-slot invariant MaxEnergy() <= Slots survives injection, since
+// faults only ever remove awake slots.
 //
 // Faulted broadcast and msrc cells additionally run a same-seed
 // fault-free twin and report graceful-degradation columns — success,
@@ -145,11 +134,11 @@
 //
 // # Observability
 //
-// internal/telemetry instruments the sweep worker pool, the adaptive
-// controller, and the batch engine without perturbing either results
-// or performance: a nil *telemetry.Recorder no-ops every hook, and a
-// live one is touched once per trial batch — per-worker padded shards
-// of atomic counters merged only on read, never on the per-slot path
+// internal/telemetry instruments the sweep worker pool and the adaptive
+// controller without perturbing either results or performance: a nil
+// *telemetry.Recorder no-ops every hook, and a live one is touched once
+// per trial or trial batch — per-worker padded shards of atomic
+// counters merged only on read, never on the per-slot path
 // (BenchmarkSweepTelemetry pins on/off parity; the simulator hot loop
 // stays 0 allocs/op either way). On top of the counters the recorder
 // keeps per-cell convergence traces (relative CI half-width per
@@ -262,7 +251,4 @@
 //     and a one-shot CLI;
 //   - bench_test.go: testing.B benchmarks, one per experiment, plus
 //     scheduler and sweep-scaling microbenchmarks.
-//
-// See DESIGN.md for the system inventory and the per-experiment index,
-// and EXPERIMENTS.md for measured results against the paper's claims.
 package repro

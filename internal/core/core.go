@@ -157,9 +157,8 @@ func WithSources(sources ...int) Option {
 // sleep windows, or lossy slots — at the given spec's rate. Fault
 // decisions come from a positional hash stream independent of every
 // protocol coin flip, so an inactive spec (the zero value, or rate 0)
-// leaves the run byte-identical to an unfaulted one, and results are
-// bit-identical between Broadcast and BroadcastBatch at any width. See
-// internal/fault for the determinism contract.
+// leaves the run byte-identical to an unfaulted one. See internal/fault
+// for the determinism contract.
 func WithFault(s fault.Spec) Option { return func(c *config) { c.fault = s } }
 
 // Result reports one Broadcast run.
@@ -254,9 +253,7 @@ func IsPath(g *graph.Graph) bool {
 }
 
 // resolveCall validates the graph, options and source set, and resolves
-// AlgoAuto to a concrete algorithm — every check both Broadcast entry
-// points share, factored so the solo and batch paths reject identical
-// inputs with identical errors.
+// AlgoAuto to a concrete algorithm.
 func resolveCall(g *graph.Graph, source int, opts []Option) (config, []int, Algorithm, error) {
 	cfg := config{model: radio.NoCD, algo: AlgoAuto, seed: 1, msg: "m", eps: 0.5, xi: 0.5}
 	if g == nil || g.N() == 0 {
@@ -311,7 +308,8 @@ func resolveCall(g *graph.Graph, source int, opts []Option) (config, []int, Algo
 // population plus the collector that maps the raw radio result to the
 // public Result; the returned radio.Config wants only its Seed filled.
 // A seed enters a trial solely through radio.Config.Seed, so one plan
-// serves any number of trials — the hoisting BroadcastBatch amortizes.
+// could serve any number of trials: plan marks the line between work
+// that depends on the seed and work that does not.
 type plan struct {
 	rcfg  radio.Config
 	build func() (pop []radio.Device, collect func(*radio.Result) *Result)
@@ -346,50 +344,6 @@ func Broadcast(g *graph.Graph, source int, opts ...Option) (*Result, error) {
 		return nil, err
 	}
 	return collect(res), nil
-}
-
-// BroadcastBatch runs one trial per seed — same topology, same options,
-// positional seeds — in lockstep on one radio.BatchSimulator, sharing
-// the plan's seed-independent work (diameter, protocol constants,
-// validation) across the whole batch. Lane i's result and error are
-// exactly what Broadcast with WithSeed(seeds[i]) returns, so callers
-// may batch at any width without perturbing measurements; the final
-// error reports whole-call problems (bad graph, bad options, WithTrace).
-// Traced runs must use Broadcast: lanes interleave by slot time, so no
-// merged event stream would be any single trial's trace.
-func BroadcastBatch(g *graph.Graph, source int, seeds []uint64, opts ...Option) ([]*Result, []error, error) {
-	cfg, sources, algo, err := resolveCall(g, source, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cfg.trace != nil {
-		return nil, nil, fmt.Errorf("core: BroadcastBatch does not support WithTrace")
-	}
-	pl, err := buildPlan(g, sources, algo, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	w := len(seeds)
-	pops := make([][]radio.Device, w)
-	collects := make([]func(*radio.Result) *Result, w)
-	for i := 0; i < w; i++ {
-		pops[i], collects[i] = pl.build()
-	}
-	pl.rcfg.Fault = cfg.fault
-	rress, rerrs, err := radio.RunBatchDevices(pl.rcfg, seeds, pops)
-	if err != nil {
-		return nil, nil, err
-	}
-	results := make([]*Result, w)
-	errs := make([]error, w)
-	for i := 0; i < w; i++ {
-		if rerrs[i] != nil {
-			errs[i] = rerrs[i]
-			continue
-		}
-		results[i] = collects[i](rress[i])
-	}
-	return results, errs, nil
 }
 
 // annotateSingle fills the source fields of a single-source result.

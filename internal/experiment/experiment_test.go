@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 )
 
 // testSpec is a mixed easy/hard matrix under the cheap decay
@@ -182,6 +185,76 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		if got := reportJSON(t, rep); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d: resumed report diverges from uninterrupted run", workers)
 		}
+	}
+}
+
+// TestResumeLegacyBatchWHeader: journals written while sweep.Spec had a
+// BatchW field carry "BatchW" in their header spec. encoding/json drops
+// the unknown key, so such a journal must resume to the report and the
+// deterministic manifest of an uninterrupted run.
+func TestResumeLegacyBatchWHeader(t *testing.T) {
+	dir := t.TempDir()
+	deterministic := func(rec *telemetry.Recorder, spec sweep.Spec) []byte {
+		t.Helper()
+		det, err := rec.BuildManifest("sweep", spec, nil, 2).DeterministicJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return det
+	}
+
+	cfg := testConfig()
+	cfg.Checkpoint = filepath.Join(dir, "clean.ckpt")
+	cfg.Workers = 2
+	cfg.Telemetry = telemetry.New()
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantDet := reportJSON(t, rep), deterministic(cfg.Telemetry, cfg.Spec)
+
+	path := filepath.Join(dir, "legacy.ckpt")
+	cfg = testConfig()
+	cfg.Checkpoint = path
+	cfg.Workers = 2
+	cfg.Interrupt, cfg.Progress = interruptAfter(3)
+	if _, err := Run(cfg); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("interrupt returned %v, want ErrInterrupted", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, next, ok := nextFrame(raw, 0)
+	if !ok {
+		t.Fatal("no intact header frame")
+	}
+	legacy := bytes.Replace(payload, []byte(`"Lean":false`), []byte(`"Lean":false,"BatchW":16`), 1)
+	if bytes.Equal(legacy, payload) {
+		t.Fatalf("header spec has no Lean key to extend: %s", payload)
+	}
+	framed := make([]byte, 8, 8+len(legacy)+len(raw)-int(next))
+	binary.LittleEndian.PutUint32(framed[0:4], uint32(len(legacy)))
+	binary.LittleEndian.PutUint32(framed[4:8], crc32.Checksum(legacy, crcTable))
+	framed = append(append(framed, legacy...), raw[next:]...)
+	if err := os.WriteFile(path, framed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := telemetry.New()
+	rep, err = Resume(path, ResumeConfig{Workers: 2, Telemetry: rec})
+	if err != nil {
+		t.Fatalf("resume of a legacy header: %v", err)
+	}
+	if got := reportJSON(t, rep); !bytes.Equal(got, want) {
+		t.Fatal("resumed report diverges from uninterrupted run")
+	}
+	jc, err := journalRead(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := deterministic(rec, jc.header.Spec); !bytes.Equal(got, wantDet) {
+		t.Fatalf("resumed deterministic manifest differs:\n%s\nvs\n%s", got, wantDet)
 	}
 }
 

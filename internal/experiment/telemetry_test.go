@@ -52,7 +52,7 @@ func TestAdaptiveTelemetryDeterministicAcrossWorkers(t *testing.T) {
 		if err := rep.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		m := rec.BuildManifest("sweep", cfg.Spec, nil, workers, 0)
+		m := rec.BuildManifest("sweep", cfg.Spec, nil, workers)
 		det, err := m.DeterministicJSON()
 		if err != nil {
 			t.Fatal(err)
@@ -141,7 +141,7 @@ func TestTelemetryJournalAndResume(t *testing.T) {
 	if int(s.JournalFsyncs) != len(jc.batches) {
 		t.Fatalf("fsyncs %d, journaled batches %d", s.JournalFsyncs, len(jc.batches))
 	}
-	m1 := rec.BuildManifest("sweep", cfg.Spec, nil, 2, 0)
+	m1 := rec.BuildManifest("sweep", cfg.Spec, nil, 2)
 	det1, err := m1.DeterministicJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestTelemetryJournalAndResume(t *testing.T) {
 	if s2 := rec2.Snapshot(); s2.JournalFsyncs != 0 {
 		t.Fatalf("resume of a complete journal wrote %d records", s2.JournalFsyncs)
 	}
-	m2 := rec2.BuildManifest("sweep", cfg.Spec, nil, 3, 0)
+	m2 := rec2.BuildManifest("sweep", cfg.Spec, nil, 3)
 	det2, err := m2.DeterministicJSON()
 	if err != nil {
 		t.Fatal(err)

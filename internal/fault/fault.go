@@ -15,9 +15,9 @@
 //   - enabling faults never perturbs a protocol coin flip — a run with
 //     Rate 0 (or Kind None) is byte-identical to a run with no fault
 //     configuration at all, golden traces included;
-//   - decisions are independent of scheduling: solo and batched
-//     execution, any worker count and any batch width, inject the exact
-//     same faults at the exact same slots;
+//   - decisions are independent of scheduling: any worker count or
+//     fabric size injects the exact same faults at the exact same
+//     slots;
 //   - a (cell, trial) position in a sweep matrix gets its own fault
 //     stream for free, because the trial seed itself is positional.
 package fault

@@ -52,9 +52,7 @@
 // once and fully reset per run, which is what makes million-trial
 // Monte-Carlo sweeps allocation-free in the hot path. The package-level
 // RunDevices remains the one-shot entry point, and serves from a
-// caller-supplied SimCache when Config.Sims is set. BatchSimulator
-// advances W same-topology trials in lockstep over one shared CSR
-// adjacency for sweep workloads.
+// caller-supplied SimCache when Config.Sims is set.
 package radio
 
 import (

@@ -87,9 +87,8 @@ type Simulator struct {
 
 	res *Result // current run's result, owned by the scheduler loop
 
-	// loop state, held on the struct so a BatchSimulator can drive the
-	// run one scheduler round at a time (gather / resolveSlot) and park
-	// the lane between rounds.
+	// loop state, held on the struct because a scheduler round spans two
+	// methods (gather / resolveSlot).
 	live     int   // devices not yet halted
 	firstErr error // first device error, reported when the run ends
 
@@ -344,14 +343,15 @@ func clearAny(buf []any) {
 
 // loop is the scheduler: it steps every awaited device to its next
 // channel action, advances to the minimum requested slot, resolves the
-// channel there in ascending device order — the exact order the
-// pre-batching engine used, which the golden trace test pins — and
-// hands each cohort member its feedback for the next round's step.
+// channel there in ascending device order — the order the golden trace
+// test pins — and hands each cohort member its feedback for the next
+// round's step.
 //
-// The two halves, gather and resolveSlot, are separate methods so a
-// BatchSimulator can drive W lanes through the identical round sequence
-// in lockstep, parking each lane between its gather and the moment the
-// batch clock reaches its requested slot.
+// A round has two halves with disjoint jobs. gather is the only half
+// that calls protocol code (it steps devices), and it picks the slot;
+// resolveSlot is the slot substrate alone (faults, collisions, energy)
+// for that slot. The boundary is where fault injection hooks in and
+// where the protocol-step and slot-substrate layers divide.
 func (s *Simulator) loop() error {
 	for {
 		t, done := s.gather()
@@ -829,20 +829,17 @@ const simCacheCap = 4
 // then serves same-graph runs from the cache instead of rebuilding envs,
 // random streams, and scheduler scratch per run.
 type SimCache struct {
-	sims    []*Simulator      // MRU order, most recent first
-	batches []*BatchSimulator // MRU order, most recent first
-	stats   CacheStats
+	sims  []*Simulator // MRU order, most recent first
+	stats CacheStats
 }
 
-// CacheStats counts a SimCache's lookups, split by MRU list. A hit
-// serves the run from a resident simulator; a miss pays a full
-// NewSimulator/NewBatchSimulator build. Plain (non-atomic) counters:
-// the cache itself is single-goroutine, and telemetry publishes a copy.
+// CacheStats counts a SimCache's lookups. A hit serves the run from a
+// resident simulator; a miss pays a full NewSimulator build. Plain
+// (non-atomic) counters: the cache itself is single-goroutine, and
+// telemetry publishes a copy.
 type CacheStats struct {
-	SoloHits    uint64
-	SoloMisses  uint64
-	BatchHits   uint64
-	BatchMisses uint64
+	SoloHits   uint64
+	SoloMisses uint64
 }
 
 // Stats returns the cache's lookup counters so far.
@@ -873,35 +870,6 @@ func (c *SimCache) get(g *graph.Graph) (*Simulator, error) {
 		c.sims = c.sims[:simCacheCap]
 	}
 	return s, nil
-}
-
-// getBatch returns the cached BatchSimulator for g, creating and
-// caching it on a miss (same MRU policy as get, separate list: a cell's
-// batched trials and an algorithm's solo derived-graph runs do not
-// evict each other).
-func (c *SimCache) getBatch(g *graph.Graph) (*BatchSimulator, error) {
-	for i, b := range c.batches {
-		if b.g == g {
-			if i != 0 {
-				copy(c.batches[1:i+1], c.batches[:i])
-				c.batches[0] = b
-			}
-			c.stats.BatchHits++
-			return b, nil
-		}
-	}
-	c.stats.BatchMisses++
-	b, err := NewBatchSimulator(g)
-	if err != nil {
-		return nil, err
-	}
-	c.batches = append(c.batches, nil)
-	copy(c.batches[1:], c.batches)
-	c.batches[0] = b
-	if len(c.batches) > simCacheCap {
-		c.batches = c.batches[:simCacheCap]
-	}
-	return b, nil
 }
 
 // Len reports the number of cached simulators (for tests).

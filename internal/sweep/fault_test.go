@@ -54,16 +54,14 @@ func faultedSpec() Spec {
 	}
 }
 
-// renderFaulted runs the faulted spec at one (workers, batchw) setting
-// and returns the report JSON and raw CSV bytes.
-func renderFaulted(t *testing.T, workers, batchw int) (string, string) {
+// renderFaulted runs the faulted spec with the given worker count and
+// returns the report JSON and raw CSV bytes.
+func renderFaulted(t *testing.T, workers int) (string, string) {
 	t.Helper()
-	spec := faultedSpec()
-	spec.BatchW = batchw
 	var raw bytes.Buffer
-	rep, err := Run(spec, Options{Workers: workers, Raw: &raw})
+	rep, err := Run(faultedSpec(), Options{Workers: workers, Raw: &raw})
 	if err != nil {
-		t.Fatalf("workers=%d batchw=%d: %v", workers, batchw, err)
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
@@ -72,22 +70,19 @@ func renderFaulted(t *testing.T, workers, batchw int) (string, string) {
 	return buf.String(), raw.String()
 }
 
-// TestFaultDeterministicAcrossWorkersAndBatch is the acceptance pin:
-// with faults enabled, report JSON and the raw per-trial CSV are
-// bit-identical across workers 1/4/8 and batch widths 1/16 — the fault
-// hash is positional, so neither scheduling nor lockstep batching can
-// shift a single injected fault.
-func TestFaultDeterministicAcrossWorkersAndBatch(t *testing.T) {
-	refJSON, refRaw := renderFaulted(t, 1, 1)
+// TestFaultDeterministicAcrossWorkers is the acceptance pin: with
+// faults enabled, report JSON and the raw per-trial CSV are
+// bit-identical across workers 1/4/8 — the fault hash is positional, so
+// scheduling cannot shift a single injected fault.
+func TestFaultDeterministicAcrossWorkers(t *testing.T) {
+	refJSON, refRaw := renderFaulted(t, 1)
 	for _, workers := range []int{4, 8} {
-		for _, batchw := range []int{1, 16} {
-			gotJSON, gotRaw := renderFaulted(t, workers, batchw)
-			if gotJSON != refJSON {
-				t.Errorf("report JSON diverges at workers=%d batchw=%d", workers, batchw)
-			}
-			if gotRaw != refRaw {
-				t.Errorf("raw CSV diverges at workers=%d batchw=%d", workers, batchw)
-			}
+		gotJSON, gotRaw := renderFaulted(t, workers)
+		if gotJSON != refJSON {
+			t.Errorf("report JSON diverges at workers=%d", workers)
+		}
+		if gotRaw != refRaw {
+			t.Errorf("raw CSV diverges at workers=%d", workers)
 		}
 	}
 	if !strings.Contains(refJSON, `"fault": "sleep:0.01:w=4"`) ||

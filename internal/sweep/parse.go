@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -45,13 +46,13 @@ func ParseTopology(s string) ([]Topology, error) {
 			switch key {
 			case "p":
 				p, err := strconv.ParseFloat(val, 64)
-				if err != nil || p < 0 || p > 1 {
+				if err != nil || math.IsNaN(p) || p < 0 || p > 1 {
 					return nil, fmt.Errorf("sweep: topology %q: bad p %q", s, val)
 				}
 				base.P = p
 			case "r":
 				r, err := strconv.ParseFloat(val, 64)
-				if err != nil || r <= 0 {
+				if err != nil || math.IsNaN(r) || math.IsInf(r, 0) || r <= 0 {
 					return nil, fmt.Errorf("sweep: topology %q: bad r %q", s, val)
 				}
 				base.R = r

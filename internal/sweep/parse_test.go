@@ -19,6 +19,11 @@ func TestParseTopologyErrorPaths(t *testing.T) {
 		"path:8:p",           // option without value
 		"gnp:8:p=2",          // p out of range
 		"gnp:8:p=x",          // non-numeric p
+		"gnp:32:p=NaN",       // NaN p (every comparison is false)
+		"gnp:8:p=-Inf",       // infinite p
+		"rgg:32:r=NaN",       // NaN radius
+		"rgg:8:r=+Inf",       // infinite radius
+		"rgg:8:r=Inf",        // infinite radius
 		"rgg:8:r=0",          // non-positive radius
 		"rgg:8:r=x",          // non-numeric radius
 		"gnp:8:seed=x",       // non-numeric seed

@@ -149,14 +149,6 @@ type Spec struct {
 	Source int
 	// Lean applies core.WithLeanScale to the heavy algorithms.
 	Lean bool
-	// BatchW is the trial-batching width: workloads implementing
-	// workload.BatchRunner advance up to BatchW consecutive trials of one
-	// cell in lockstep on a shared batch engine (radio.BatchSimulator),
-	// amortizing per-trial planning (diameter, protocol constants) and
-	// scheduler setup. Zero or one runs trials solo. Purely a throughput
-	// knob: seeds stay positional, so aggregates, raw CSV rows, and
-	// checkpoint replay are bit-identical for every width.
-	BatchW int `json:",omitempty"`
 	// Faults is the fault-injection axis (see internal/fault): every
 	// matrix cell is run once per listed spec, innermost after the
 	// workload-parameter point. Empty means one fault-free pass per cell
@@ -263,7 +255,7 @@ type Options struct {
 	Raw io.Writer
 	// Telemetry, if non-nil, receives run counters, per-cell progress,
 	// and phase timings (see internal/telemetry). Workers update their
-	// own shard once per trial batch — the per-slot hot path is never
+	// own shard once per trial — the per-slot hot path is never
 	// instrumented — so enabling it does not perturb measurements or the
 	// engine's zero-alloc steady state. nil disables all instrumentation.
 	Telemetry *telemetry.Recorder
@@ -271,17 +263,12 @@ type Options struct {
 
 // rawWindow bounds the raw export's reorder buffer: at most this many
 // trial rows may be issued beyond the oldest unwritten row, so the
-// writer's pending map never exceeds it. With trial batching the window
-// grows to keep every worker able to hold a full batch of row tokens at
-// once — the invariant that keeps the gate deadlock-free (the oldest
-// unwritten row's worker acquired all its tokens before taking the job,
-// so it is never blocked on the gate).
-func rawWindow(workers, step int) int {
-	w := 8*workers + 16
-	if ws := workers*step + 16; ws > w {
-		w = ws
-	}
-	return w
+// writer's pending map never exceeds it. The window holds at least one
+// token per worker — the invariant that keeps the gate deadlock-free
+// (the oldest unwritten row's worker acquired its token before taking
+// the job, so it is never blocked on the gate).
+func rawWindow(workers int) int {
+	return 8*workers + 16
 }
 
 // rawHeader is the raw per-trial export's column set.
@@ -489,57 +476,10 @@ func (r *Runner) CellLabels() []string {
 // of a trial range measures exactly what one contiguous run would —
 // the property the adaptive controller's checkpoint/resume relies on.
 // sims may be nil; passing a per-goroutine cache makes consecutive
-// batches on one cell reuse the preallocated engine. When Spec.BatchW
-// exceeds one and the workload implements workload.BatchRunner, the
-// range runs in lockstep chunks of up to BatchW trials; per-trial
-// results are identical either way.
+// batches on one cell reuse the preallocated engine.
 func (r *Runner) RunTrials(cell, lo, hi int, sims *radio.SimCache, out []Trial) {
-	step := r.batchStep()
-	if step > 1 {
-		br := r.wl.(workload.BatchRunner)
-		for t := lo; t < hi; t += step {
-			end := t + step
-			if end > hi {
-				end = hi
-			}
-			r.runTrialBatch(br, cell, t, end, sims, out[t-lo:end-lo])
-		}
-		return
-	}
 	for t := lo; t < hi; t++ {
-		out[t-lo] = runTrial(r.wl, r.graphs[cell], r.cells[cell], &r.spec, cell, t, sims)
-	}
-}
-
-// batchStep resolves the effective lockstep width: Spec.BatchW when the
-// workload can batch, 1 otherwise.
-func (r *Runner) batchStep() int {
-	if r.spec.BatchW > 1 {
-		if _, ok := r.wl.(workload.BatchRunner); ok {
-			return r.spec.BatchW
-		}
-	}
-	return 1
-}
-
-// runTrialBatch runs trials [lo, hi) of one cell through the workload's
-// lockstep path, with the same positional seeds the solo path derives.
-func (r *Runner) runTrialBatch(br workload.BatchRunner, cell, lo, hi int, sims *radio.SimCache, out []Trial) {
-	seeds := make([]uint64, hi-lo)
-	for i := range seeds {
-		seeds[i] = TrialSeed(r.spec.MasterSeed, cell, lo+i)
-	}
-	c := r.cells[cell]
-	ms, errs := br.RunBatch(r.graphs[cell], c.Point, seeds, workload.Options{
-		Model:     c.Model,
-		Algorithm: c.Algorithm,
-		Source:    r.spec.Source,
-		Lean:      r.spec.Lean,
-		Sims:      sims,
-		Fault:     c.Fault,
-	})
-	for i, seed := range seeds {
-		out[i] = trialOf(seed, ms[i], errs[i])
+		out[t-lo] = r.runTrial(cell, t, sims)
 	}
 }
 
@@ -567,37 +507,31 @@ func Run(spec Spec, opt Options) (*Report, error) {
 	for i := range results {
 		results[i] = make([]Trial, spec.Trials)
 	}
+	// One job is one trial; job j is trial j%Trials of cell j/Trials.
 	total := len(cells) * spec.Trials
-	// Jobs are batch-granular: each covers up to step consecutive trials
-	// of one cell (step = 1 without batching), never crossing a cell
-	// boundary so every batch shares one graph and one plan.
-	step := r.batchStep()
-	bpc := (spec.Trials + step - 1) / step // batches per cell
-	totalJobs := len(cells) * bpc
 	var next, done atomic.Int64
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > totalJobs {
-		workers = totalJobs
+	if workers > total {
+		workers = total
 	}
 	// Raw per-trial export: workers hand finished trials to a dedicated
 	// writer goroutine, which streams them out in deterministic trial
 	// order. The gate semaphore caps issued-but-unwritten trial rows at
-	// rawWindow(workers, step), bounding the writer's reorder buffer:
-	// workers acquire one token per trial of a job before taking it, the
-	// writer releases one per written row. Deadlock-free because the
-	// oldest unwritten row's worker acquired its whole batch of tokens
-	// before taking the job and the writer always drains the row channel
-	// (see Options.Raw).
+	// rawWindow(workers), bounding the writer's reorder buffer: workers
+	// acquire one token before taking a job, the writer releases one per
+	// written row. Deadlock-free because the oldest unwritten row's
+	// worker acquired its token before taking the job and the writer
+	// always drains the row channel (see Options.Raw).
 	var rawCh chan rawRow
 	var rawDone chan error
 	var rawGate chan struct{}
 	if opt.Raw != nil {
 		rawCh = make(chan rawRow, 4*workers)
 		rawDone = make(chan error, 1)
-		rawGate = make(chan struct{}, rawWindow(workers, step))
+		rawGate = make(chan struct{}, rawWindow(workers))
 		go rawWriter(opt.Raw, spec.Trials, rawCh, rawGate, rawDone)
 	}
 	rec.Shards(workers)
@@ -614,75 +548,47 @@ func Run(spec Spec, opt Options) (*Report, error) {
 			// and a recycled simulator is reset per run, so the aggregate
 			// stays bit-identical for any worker count.
 			sims := &radio.SimCache{}
-			buf := make([]Trial, step)
 			// sh is nil when telemetry is disabled; all updates are
-			// per-batch, never per-trial or per-slot.
+			// per-trial, never per-slot.
 			sh := rec.Shard(w)
 			for {
 				if rawGate != nil {
-					for k := 0; k < step; k++ {
-						rawGate <- struct{}{}
-					}
+					rawGate <- struct{}{}
 				}
 				job := int(next.Add(1)) - 1
-				if job >= totalJobs {
+				if job >= total {
 					if rawGate != nil {
-						for k := 0; k < step; k++ {
-							<-rawGate // no job taken: hand the tokens back
-						}
+						<-rawGate // no job taken: hand the token back
 					}
 					return
 				}
-				ci := job / bpc
-				lo := (job % bpc) * step
-				hi := lo + step
-				if hi > spec.Trials {
-					hi = spec.Trials
-				}
-				if rawGate != nil {
-					for k := hi - lo; k < step; k++ {
-						<-rawGate // short tail batch: return unused tokens
-					}
-				}
+				ci, ti := job/spec.Trials, job%spec.Trials
 				var t0 time.Time
 				if sh != nil {
 					sh.BatchStart()
 					t0 = time.Now()
 				}
-				r.RunTrials(ci, lo, hi, sims, buf[:hi-lo])
+				tr := r.runTrial(ci, ti, sims)
 				if sh != nil {
-					var slots uint64
-					for _, tr := range buf[:hi-lo] {
-						slots += tr.Slots
-					}
-					sh.BatchDone(ci, hi-lo, slots, time.Since(t0))
+					sh.BatchDone(ci, 1, tr.Slots, time.Since(t0))
 					sh.SetCache(telemetry.CacheCounts(sims.Stats()))
 					// Every trial of a fixed sweep commits; a cell is done
 					// when its committed count reaches the spec's target.
 					// Injected-fault counts commit alongside: every trial
 					// commits exactly once, so the totals are deterministic.
-					var fc, fsl, fe uint64
-					for _, tr := range buf[:hi-lo] {
-						fc += uint64(tr.FaultCrashes)
-						fsl += uint64(tr.FaultSleeps)
-						fe += uint64(tr.FaultErasures)
-					}
-					rec.CommitFaults(fc, fsl, fe)
-					if n := rec.CommitTrials(ci, hi-lo); n == uint64(spec.Trials) {
+					rec.CommitFaults(uint64(tr.FaultCrashes), uint64(tr.FaultSleeps), uint64(tr.FaultErasures))
+					if n := rec.CommitTrials(ci, 1); n == uint64(spec.Trials) {
 						rec.CellDone(ci, "done")
 					}
 				}
-				for ti := lo; ti < hi; ti++ {
-					tr := buf[ti-lo]
-					results[ci][ti] = tr
-					if rawCh != nil {
-						rawCh <- rawRow{job: ci*spec.Trials + ti, t: tr}
-					}
-					if opt.Progress != nil {
-						opt.Progress(int(done.Add(1)), total)
-					} else {
-						done.Add(1)
-					}
+				results[ci][ti] = tr
+				if rawCh != nil {
+					rawCh <- rawRow{job: job, t: tr}
+				}
+				if opt.Progress != nil {
+					opt.Progress(int(done.Add(1)), total)
+				} else {
+					done.Add(1)
 				}
 			}
 		}(w)
@@ -708,23 +614,17 @@ func Run(spec Spec, opt Options) (*Report, error) {
 
 // runTrial executes one seeded workload trial and measures it. sims is
 // the calling worker's private simulator cache.
-func runTrial(w workload.Workload, g *graph.Graph, c Cell, spec *Spec, cell, trial int, sims *radio.SimCache) Trial {
-	seed := TrialSeed(spec.MasterSeed, cell, trial)
-	m, err := w.Run(g, c.Point, seed, workload.Options{
+func (r *Runner) runTrial(cell, trial int, sims *radio.SimCache) Trial {
+	c := r.cells[cell]
+	seed := TrialSeed(r.spec.MasterSeed, cell, trial)
+	m, err := r.wl.Run(r.graphs[cell], c.Point, seed, workload.Options{
 		Model:     c.Model,
 		Algorithm: c.Algorithm,
-		Source:    spec.Source,
-		Lean:      spec.Lean,
+		Source:    r.spec.Source,
+		Lean:      r.spec.Lean,
 		Sims:      sims,
 		Fault:     c.Fault,
 	})
-	return trialOf(seed, m, err)
-}
-
-// trialOf maps one trial's workload outcome to its Trial row — the
-// single mapping both the solo and lockstep paths share, so an error
-// trial serializes identically at every batch width.
-func trialOf(seed uint64, m workload.Measures, err error) Trial {
 	if err != nil {
 		return Trial{Seed: seed, Err: err.Error()}
 	}

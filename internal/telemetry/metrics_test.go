@@ -22,7 +22,7 @@ func TestMetricsExposition(t *testing.T) {
 	sh := r.Shard(0)
 	sh.BatchStart()
 	sh.BatchDone(0, 10, 1000, time.Millisecond)
-	sh.SetCache(CacheCounts{SoloHits: 3, BatchMisses: 2})
+	sh.SetCache(CacheCounts{SoloHits: 3, SoloMisses: 2})
 	r.CommitTrials(0, 42)
 	r.CommitFaults(1, 2, 3)
 	r.JournalFsync(time.Microsecond)

@@ -77,7 +77,7 @@ func TestShardMergeAndCells(t *testing.T) {
 				sh.BatchStart()
 				sh.BatchDone(w%2, 10, 1000, time.Millisecond)
 			}
-			sh.SetCache(CacheCounts{SoloHits: 7, SoloMisses: 1, BatchHits: 2, BatchMisses: 3})
+			sh.SetCache(CacheCounts{SoloHits: 7, SoloMisses: 1})
 			r.CommitTrials(w%2, 50)
 		}(w)
 	}
@@ -94,7 +94,7 @@ func TestShardMergeAndCells(t *testing.T) {
 	if s.BatchesInFlight != 0 {
 		t.Fatalf("inflight = %d, want 0", s.BatchesInFlight)
 	}
-	if want := (CacheCounts{SoloHits: 21, SoloMisses: 3, BatchHits: 6, BatchMisses: 9}); s.SimCache != want {
+	if want := (CacheCounts{SoloHits: 21, SoloMisses: 3}); s.SimCache != want {
 		t.Fatalf("cache = %+v, want %+v", s.SimCache, want)
 	}
 	if s.CellsTotal != 2 || s.CellsDone != 1 {
@@ -169,9 +169,9 @@ func TestPhasesAndManifest(t *testing.T) {
 	r.CommitTrials(0, 10)
 	r.Trace(0, 0, 10, []float64{0.5})
 	r.CellDone(0, "ci")
-	m := r.BuildManifest("test", map[string]int{"n": 8}, map[string]int{"max": 100}, 4, 16)
-	if m.Workers != 4 || m.BatchW != 16 {
-		t.Fatalf("workers/batchw = %d/%d", m.Workers, m.BatchW)
+	m := r.BuildManifest("test", map[string]int{"n": 8}, map[string]int{"max": 100}, 4)
+	if m.Workers != 4 {
+		t.Fatalf("workers = %d", m.Workers)
 	}
 	if len(m.Phases) != 2 || m.Phases[0].Name != "resolve" || m.Phases[1].Name != "trials" {
 		t.Fatalf("phases = %+v", m.Phases)
@@ -206,7 +206,7 @@ func TestDeterministicJSONExcludesTimings(t *testing.T) {
 		r.CommitTrials(0, 10)
 		r.Trace(0, 0, 10, []float64{0.125})
 		r.CellDone(0, "ci")
-		m := r.BuildManifest("test", map[string]int{"n": 8}, nil, 2+extraRun, 1)
+		m := r.BuildManifest("test", map[string]int{"n": 8}, nil, 2+extraRun)
 		b, err := m.DeterministicJSON()
 		if err != nil {
 			t.Fatal(err)

@@ -218,19 +218,6 @@ type Workload interface {
 	Run(g *graph.Graph, pt Point, seed uint64, opt Options) (Measures, error)
 }
 
-// BatchRunner is the optional interface a workload implements to run
-// several consecutive trials of one cell in lockstep on a shared batch
-// engine (radio.BatchSimulator). The contract is strict positional
-// equivalence: entry i of both slices must equal what
-// Run(g, pt, seeds[i], opt) returns — measures and error string alike —
-// so the sweep engine may batch at any width without perturbing
-// aggregates, raw rows, or checkpoint replay. Workload-level failures
-// that precede the simulation (bad parameters, graph mismatches) are
-// seed-independent and appear fanned out as identical per-trial errors.
-type BatchRunner interface {
-	RunBatch(g *graph.Graph, pt Point, seeds []uint64, opt Options) ([]Measures, []error)
-}
-
 var registry = map[string]Workload{}
 
 // Register adds a workload to the registry. It panics on duplicate or
