@@ -14,9 +14,11 @@ import (
 )
 
 // The port pin reduces the full event stream and per-device outcomes of
-// fixed scenarios to digests generated from the pre-port blocking
-// implementation. The ported step machines must reproduce them byte for
-// byte; regenerate only with -update-pin and a reviewed diff.
+// fixed scenarios to digests. The first three lines were generated from
+// the blocking implementation, the lean star and two-iteration lines
+// from the continuation implementation that followed it. The flat step
+// machine must reproduce every line byte for byte; regenerate only with
+// -update-pin and a reviewed diff.
 var updatePin = flag.Bool("update-pin", false, "rewrite testdata/port_pin.txt from the current implementation")
 
 func evString(ev radio.Event) string {
@@ -56,15 +58,35 @@ func comparePin(t *testing.T, got string) {
 }
 
 func TestPortPin(t *testing.T) {
+	// small is the one-iteration tuning of the original scenarios; lean
+	// is core's WithLeanScale tuning, whose star runs take the
+	// zero-iteration path (Lemma 10 Broadcast only); twoIter forces two
+	// partition iterations.
+	small := func(model radio.Model, n, delta, d int) (Params, error) {
+		p, err := NewParamsBeta(model, n, delta, d, 0.25)
+		return p.Tune(n, 4, 3, 2, 1), err
+	}
+	lean := func(model radio.Model, n, delta, d int) (Params, error) {
+		p, err := NewParams(model, n, delta, d, 0.5)
+		return p.Tune(n, 10, 6, 10, 0), err
+	}
+	twoIter := func(model radio.Model, n, delta, d int) (Params, error) {
+		p, err := NewParamsBeta(model, n, delta, d, 0.25)
+		return p.Tune(n, 3, 3, 2, 2), err
+	}
 	scens := []struct {
-		name  string
-		g     *graph.Graph
-		model radio.Model
-		seed  uint64
+		name   string
+		g      *graph.Graph
+		model  radio.Model
+		seed   uint64
+		params func(model radio.Model, n, delta, d int) (Params, error)
 	}{
-		{"nocd-path6", graph.Path(6), radio.NoCD, 3},
-		{"cd-gnp8", graph.GNP(8, 0.4, 2), radio.CD, 5},
-		{"local-grid24", graph.Grid(2, 4), radio.Local, 9},
+		{"nocd-path6", graph.Path(6), radio.NoCD, 3, small},
+		{"cd-gnp8", graph.GNP(8, 0.4, 2), radio.CD, 5, small},
+		{"local-grid24", graph.Grid(2, 4), radio.Local, 9, small},
+		{"cd-star64-lean", graph.Star(64), radio.CD, 7, lean},
+		{"cdstar-star64-lean", graph.Star(64), radio.CDStar, 7, lean},
+		{"cd-gnp16-iter2", graph.GNP(16, 0.2, 3), radio.CD, 11, twoIter},
 	}
 	var sb strings.Builder
 	for _, sc := range scens {
@@ -73,11 +95,16 @@ func TestPortPin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewParamsBeta(sc.model, n, sc.g.MaxDegree(), d, 0.25)
+		p, err := sc.params(sc.model, n, sc.g.MaxDegree(), d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p = p.Tune(n, 4, 3, 2, 1)
+		if sc.name == "cd-star64-lean" && p.Iterations != 0 {
+			t.Fatalf("%s: %d iterations, want the zero-iteration path", sc.name, p.Iterations)
+		}
+		if sc.name == "cd-gnp16-iter2" && p.Iterations != 2 {
+			t.Fatalf("%s: %d iterations, want 2", sc.name, p.Iterations)
+		}
 		devs := make([]DeviceResult, n)
 		h := fnv.New64a()
 		pop := make([]radio.Device, n)
