@@ -27,11 +27,15 @@
 // goroutine, no park/wake per action, just one function call per
 // device decision. The paper's algorithms are slot-driven state
 // machines by construction, and every protocol package ships a native
-// step machine; deeply nested passes (detcast, cdmerge, iterclust's
-// cluster phases) are written against radio.Cont, a
-// continuation-passing layer over the same interface, and procs nest
-// under virtual channels (coloring's Theorem 3 simulation) by plain
-// composition.
+// step machine. The flagship Theorem 16 device (dtime) is one flat
+// machine that allocates nothing while it runs: its windows are an
+// in-place cluster.Window and its closing broadcast the
+// cluster.Broadcaster step machine. Deeply nested passes (detcast,
+// cdmerge, iterclust, partition, coloring) are still written against
+// radio.Cont, a continuation-passing layer over the same interface that
+// rebuilds closures per window, and nest the cluster machines through
+// radio.ProcCont; procs nest under virtual channels (coloring's
+// Theorem 3 simulation) by plain composition.
 //
 // Cohorts are ordered (slot, then device index) by a min-heap, with a
 // lockstep fast path when every live device acts in the same slot, so

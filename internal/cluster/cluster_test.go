@@ -20,14 +20,8 @@ func runWithLabels(t *testing.T, g *graph.Graph, model radio.Model, labels []int
 	informed := make([]bool, n)
 	devs := make([]radio.Device, n)
 	for v := 0; v < n; v++ {
-		v := v
-		devs[v].Proc = radio.ContProc(func(ch radio.Channel) radio.Cont {
-			b := &Broadcaster{SR: sr, Layers: layers,
-				Label: labels[v], Has: v == source, Msg: "M"}
-			return b.BroadcastCont(1, d, radio.Do(func() {
-				informed[v] = b.Has
-			}, nil))
-		})
+		devs[v].Proc = broadcasterProc(&Broadcaster{SR: sr, Layers: layers,
+			Label: labels[v], Has: v == source, Msg: "M"}, 1, d, &informed[v])
 	}
 	res, err := radio.RunDevices(radio.Config{Graph: g, Model: model, Seed: seed}, devs)
 	if err != nil {
@@ -229,7 +223,8 @@ func TestBroadcasterScheduleAgreement(t *testing.T) {
 		devs[v].Proc = radio.ContProc(func(ch radio.Channel) radio.Cont {
 			b := &Broadcaster{SR: sr, Layers: 6,
 				Label: labels[v], Has: v == 0, Msg: 1}
-			return b.BroadcastCont(1, 0, radio.EvalCh(func(ch radio.Channel) radio.Cont {
+			b.Reset(1, 0)
+			return radio.ProcCont(b, radio.EvalCh(func(ch radio.Channel) radio.Cont {
 				if ch.Now() > end {
 					t.Errorf("device %d: clock %d past schedule end %d", v, ch.Now(), end)
 				}

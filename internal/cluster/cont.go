@@ -1,31 +1,25 @@
 package cluster
 
-// Continuation forms of the SR-communication windows and the Lemma 10
-// Broadcaster, for protocols ported to the inline step ABI (radio.Proc).
-// Each form occupies exactly the window its blocking counterpart does
-// and evaluates mutable device state (roles, Has/Msg) at window start,
-// so a ported protocol produces the byte-identical slot-level event
-// stream of its blocking original — the property the cdmerge port pins.
+// Continuation forms of the SR-communication window and the Refiner,
+// for protocols written against radio.Cont. The SR forms are thin
+// wrappers over Window, which holds the one SR-window implementation;
+// each evaluates mutable device state (roles, payloads) at its window's
+// start, so a continuation protocol keeps the evaluation order of its
+// blocking ancestor — the property the cdmerge and partition port pins
+// hold.
 
 import (
 	"repro/internal/labeling"
 	"repro/internal/radio"
-	"repro/internal/srcomm"
 )
 
 // SendCont participates in the window at start as a sender, then
 // resumes with k. payload is read at window start.
 func (s Spec) SendCont(start uint64, payload func() any, k radio.Cont) radio.Cont {
 	return radio.Eval(func() radio.Cont {
-		m := payload()
-		switch s.Model {
-		case radio.Local:
-			return radio.ProcCont(srcomm.LocalSendProc(start, m), k)
-		case radio.CD, radio.CDStar:
-			return radio.ProcCont(srcomm.CDSendProc(start, s.CD, m), k)
-		default:
-			return radio.ProcCont(srcomm.DecaySendProc(start, s.Decay, m), k)
-		}
+		w := new(Window)
+		w.Reset(&s, Send, start, payload())
+		return radio.ProcCont(w, k)
 	})
 }
 
@@ -33,117 +27,17 @@ func (s Spec) SendCont(start uint64, payload func() any, k radio.Cont) radio.Con
 // the delivery (message, ok) when the window ends, before k resumes.
 func (s Spec) ReceiveCont(start uint64, done func(any, bool), k radio.Cont) radio.Cont {
 	return radio.Eval(func() radio.Cont {
-		switch s.Model {
-		case radio.Local:
-			var got []any
-			return radio.ProcCont(srcomm.LocalReceiveProc(start, &got),
-				radio.Do(func() {
-					if len(got) > 0 {
-						done(got[0], true)
-					} else {
-						done(nil, false)
-					}
-				}, k))
-		case radio.CD, radio.CDStar:
-			var m any
-			var ok bool
-			return radio.ProcCont(srcomm.CDReceiveProc(start, s.CD, &m, &ok),
-				radio.Do(func() { done(m, ok) }, k))
-		default:
-			var m any
-			var ok bool
-			return radio.ProcCont(srcomm.DecayReceiveProc(start, s.Decay, &m, &ok),
-				radio.Do(func() { done(m, ok) }, k))
-		}
+		w := new(Window)
+		w.Reset(&s, Receive, start, nil)
+		return radio.ProcCont(w, radio.Do(func() { done(w.Received()) }, k))
 	})
 }
 
 // SkipCont advances a non-participant's clock to the end of the window,
-// then resumes with k.
+// then resumes with k: the single sleep of Window's Skip role, without
+// a window to carry it.
 func (s Spec) SkipCont(start uint64, k radio.Cont) radio.Cont {
 	return radio.Then(radio.Sleep(start+s.Slots()-1), k)
-}
-
-// window emits one sweep window: the device's role is chosen at window
-// start from the Broadcaster's current state.
-func (b *Broadcaster) window(ws uint64, sendLayer, recvLayer int, k radio.Cont) radio.Cont {
-	return radio.Eval(func() radio.Cont {
-		switch {
-		case b.Has && b.Label == sendLayer:
-			return b.SR.SendCont(ws, func() any { return b.Msg }, k)
-		case !b.Has && b.Label == recvLayer:
-			return b.SR.ReceiveCont(ws, func(m any, ok bool) {
-				if ok {
-					b.Has, b.Msg = true, m
-				}
-			}, k)
-		default:
-			return b.SR.SkipCont(ws, k)
-		}
-	})
-}
-
-// DownCastCont is the continuation form of DownCast: windows i =
-// 0..Layers-2, holders at layer i send, non-holders at i+1 receive.
-func (b *Broadcaster) DownCastCont(start uint64, k radio.Cont) radio.Cont {
-	w := b.SR.Slots()
-	var it func(i int) radio.Cont
-	it = func(i int) radio.Cont {
-		if i > b.Layers-2 {
-			return k
-		}
-		return b.window(start+uint64(i)*w, i, i+1, radio.Eval(func() radio.Cont { return it(i + 1) }))
-	}
-	return it(0)
-}
-
-// UpCastCont is the continuation form of UpCast: windows i =
-// Layers-1..1, holders at layer i send, non-holders at i-1 receive.
-func (b *Broadcaster) UpCastCont(start uint64, k radio.Cont) radio.Cont {
-	w := b.SR.Slots()
-	var it func(wi int) radio.Cont
-	it = func(wi int) radio.Cont {
-		i := b.Layers - 1 - wi
-		if i < 1 {
-			return k
-		}
-		return b.window(start+uint64(wi)*w, i, i-1, radio.Eval(func() radio.Cont { return it(wi + 1) }))
-	}
-	return it(0)
-}
-
-// AllCastCont is the continuation form of AllCast: one window, holders
-// send, non-holders receive.
-func (b *Broadcaster) AllCastCont(start uint64, k radio.Cont) radio.Cont {
-	return radio.Eval(func() radio.Cont {
-		if b.Has {
-			return b.SR.SendCont(start, func() any { return b.Msg }, k)
-		}
-		return b.SR.ReceiveCont(start, func(m any, ok bool) {
-			if ok {
-				b.Has, b.Msg = true, m
-			}
-		}, k)
-	})
-}
-
-// BroadcastCont is the continuation form of Broadcast: Up-cast, d rounds
-// of (Down-cast, All-cast, Up-cast), final Down-cast, then k. It
-// occupies exactly BroadcastSlots(SR, Layers, d) slots from start.
-func (b *Broadcaster) BroadcastCont(start uint64, d int, k radio.Cont) radio.Cont {
-	w := b.SR.Slots()
-	sweep := uint64(maxInt(b.Layers-1, 0)) * w
-	var round func(r int, t uint64) radio.Cont
-	round = func(r int, t uint64) radio.Cont {
-		if r == d {
-			return b.DownCastCont(t, k)
-		}
-		return b.DownCastCont(t,
-			b.AllCastCont(t+sweep,
-				b.UpCastCont(t+sweep+w,
-					round(r+1, t+2*sweep+w))))
-	}
-	return b.UpCastCont(start, round(0, start+sweep))
 }
 
 // refineWindow emits one refinement sweep window: labeled devices at old

@@ -17,10 +17,11 @@ var updatePin = flag.Bool("update-pin", false, "rewrite testdata/broadcaster_pin
 
 // TestBroadcasterPin reduces the Lemma 10 Broadcaster's full event stream
 // and final holder set on the multi-layer two-cluster labeling of
-// Path(8) to digests, for every model and seeds 1-3. The labeling has
-// three sweep windows per Up- and Down-cast, so the pin covers the
-// layered windows that a star (one layer pair) never reaches. The
-// digests were generated from the continuation Broadcaster; regenerate
+// Path(8) to digests, for every model and seeds 1-3, and checks that
+// every vertex ends informed. The labeling has three sweep windows per
+// Up- and Down-cast, so the pin covers the layered windows that a star
+// (one layer pair) never reaches. The digests were generated from the
+// continuation Broadcaster that preceded the step machine; regenerate
 // only with -update-pin and a reviewed diff.
 func TestBroadcasterPin(t *testing.T) {
 	g := graph.Path(8)
@@ -43,6 +44,11 @@ func TestBroadcasterPin(t *testing.T) {
 				}}, devs)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for v, ok := range has {
+				if !ok {
+					t.Errorf("%v seed %d: vertex %d not informed", model, seed, v)
+				}
 			}
 			fmt.Fprintf(&sb, "%v seed=%d events=%d trace=%016x slots=%d energy=%v has=%v\n",
 				model, seed, res.Events, h.Sum64(), res.Slots, res.Energy, has)
@@ -70,7 +76,12 @@ func TestBroadcasterPin(t *testing.T) {
 // broadcasterProc runs b's Broadcast(d) from start as a device and stores
 // its final Has flag through has.
 func broadcasterProc(b *Broadcaster, start uint64, d int, has *bool) radio.Proc {
-	return radio.ContProc(func(ch radio.Channel) radio.Cont {
-		return b.BroadcastCont(start, d, radio.Do(func() { *has = b.Has }, nil))
+	b.Reset(start, d)
+	return radio.ProcFunc(func(ch radio.Channel, fb radio.Feedback) radio.Action {
+		act := b.Step(ch, fb)
+		if act.Kind == radio.ActHalt {
+			*has = b.Has
+		}
+		return act
 	})
 }

@@ -410,10 +410,7 @@ func singlePlan(g *graph.Graph, source int, algo Algorithm, cfg config) (plan, e
 			rcfg: radio.Config{Graph: g, Model: p.SR.Model, MaxSlots: 1 << 62, Sims: cfg.sims},
 			build: func() ([]radio.Device, func(*radio.Result) *Result) {
 				devs := make([]dtime.DeviceResult, n)
-				pop := make([]radio.Device, n)
-				for v := 0; v < n; v++ {
-					pop[v].Proc = dtime.Proc(p, v == source, cfg.msg, &devs[v])
-				}
+				pop := dtime.Devices(&p, devs, func(v int) (bool, any) { return v == source, cfg.msg })
 				return pop, func(res *radio.Result) *Result {
 					inf := make([]bool, n)
 					for v, dres := range devs {

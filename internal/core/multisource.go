@@ -93,11 +93,7 @@ func multiPlan(g *graph.Graph, sources []int, algo Algorithm, cfg config) (plan,
 				MaxSlots: 1 << 62, Sims: cfg.sims},
 			build: func() ([]radio.Device, func(*radio.Result) *Result) {
 				devs := make([]dtime.DeviceResult, n)
-				pop := make([]radio.Device, n)
-				for v := 0; v < n; v++ {
-					isSrc, tag := tagFor(v)
-					pop[v].Proc = dtime.Proc(p, isSrc, tag, &devs[v])
-				}
+				pop := dtime.Devices(&p, devs, tagFor)
 				return pop, func(res *radio.Result) *Result {
 					inf := make([]bool, n)
 					for v, dres := range devs {

@@ -27,11 +27,21 @@
 // Epochs pipeline decisions with one epoch of lag: offers captured in
 // epoch t are gathered to the old root in epoch t and announced (with
 // relabeling) in epoch t+1.
+//
+// Each device runs the whole program as one flat step machine whose
+// cursor is explicit — iteration, epoch, phase, Lemma 17
+// repetition, then the Lemma 10 Broadcaster's own cursor — and whose
+// SR windows are re-armed in place. A run allocates its population (one
+// slab of machines, plus one of partition state when the parameters
+// iterate) and, during the iterations, one boxed payload per window a
+// device sends in; the zero-iteration path allocates nothing after
+// set-up. All machines of a run share one *Params.
 package dtime
 
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -41,6 +51,7 @@ import (
 )
 
 // Params configures a Theorem 16 run; all fields are global knowledge.
+// The machines of a run share one *Params and only read it.
 type Params struct {
 	// Beta is the partition rate (0 < Beta <= 1/4 recommended).
 	Beta float64
@@ -240,94 +251,6 @@ type relabelMsg struct {
 	newLayer int
 }
 
-// devState is a device's cluster bookkeeping.
-type devState struct {
-	idx int
-	p   Params
-
-	oldCID   int
-	oldLayer int
-	oldSeed  uint64
-
-	active   bool // member of an already re-clustered cluster
-	joined   bool // cluster merged but this member may lack a layer yet
-	newCID   int
-	newLayer int // -1 until known
-	newSeed  uint64
-
-	captured     *offerMsg // offer captured in the current epoch
-	pendingJoin  *gatherMsg
-	announceBody *announceMsg // announcement relayed through the cluster
-	iter         int          // current partition iteration index
-
-	dDelta float64 // root only: exponential shift
-	start  int     // root only: start epoch
-}
-
-// coin reports whether the cluster with the given seed participates in
-// the Lemma 17 repetition anchored at absolute slot ws (probability 1/C).
-// Every member derives the same coin.
-func (p Params) coin(seed uint64, ws uint64) bool {
-	r := rng.New(rng.Child(seed, ws))
-	return r.IntN(p.C) == 0
-}
-
-// sweepCont emits one Lemma 17 sweep over old labels, resuming with k.
-// dir is +1 (downward: senders at layer l, receivers at l+1) or -1
-// (upward). The callbacks decide participation and handle acceptance;
-// send returns the payload and the sampling seed for the device's
-// cluster. Participation is evaluated at each repetition's window start,
-// so the emitted event stream matches the blocking original slot for
-// slot.
-func (s *devState) sweepCont(start uint64, dir int,
-	send func(window int) (any, uint64, bool),
-	recv func(window int, m any) bool, k radio.Cont) radio.Cont {
-	return radio.Eval(func() radio.Cont {
-		p := s.p
-		lb := p.lb[s.iter]
-		if lb <= 1 {
-			return k
-		}
-		w := p.SR.Slots()
-		total := (lb - 1) * p.CL
-		var rep func(r int) radio.Cont
-		rep = func(r int) radio.Cont {
-			if r == total {
-				return k
-			}
-			win := r / p.CL
-			// Window win links sender layer sl to receiver layer rl.
-			var sl, rl int
-			if dir > 0 {
-				sl, rl = win, win+1
-			} else {
-				sl, rl = lb-1-win, lb-2-win
-			}
-			ws := start + uint64(r)*w
-			next := radio.Eval(func() radio.Cont { return rep(r + 1) })
-			return radio.Eval(func() radio.Cont {
-				payload, seed, isSender := any(nil), uint64(0), false
-				if s.oldLayer == sl {
-					payload, seed, isSender = send(win)
-				}
-				switch {
-				case isSender && p.coin(seed, ws):
-					return p.SR.SendCont(ws, func() any { return payload }, next)
-				case s.oldLayer == rl:
-					return p.SR.ReceiveCont(ws, func(m any, ok bool) {
-						if ok {
-							recv(win, m)
-						}
-					}, next)
-				default:
-					return p.SR.SkipCont(ws, next)
-				}
-			})
-		}
-		return rep(0)
-	})
-}
-
 // DeviceResult is one device's final view.
 type DeviceResult struct {
 	Informed bool
@@ -336,236 +259,406 @@ type DeviceResult struct {
 	Cluster  int
 }
 
-// RunCont is the continuation form of the Theorem 16 device program
-// starting at slot 1, resuming with k when the schedule ends. The
-// device's first private draw (the shared cluster seed) happens when the
-// continuation first runs; out is complete before k resumes.
-func RunCont(p Params, isSource bool, msg any, out *DeviceResult, k radio.Cont) radio.Cont {
-	return radio.EvalCh(func(ch radio.Channel) radio.Cont {
-		s := &devState{
-			idx: ch.Index(), p: p,
-			oldCID: ch.Index(), oldLayer: 0,
-			oldSeed:  ch.Rand().Uint64(),
-			newLayer: -1, newCID: -1,
-		}
-		var iterC func(iter int, t uint64) radio.Cont
-		iterC = func(iter int, t uint64) radio.Cont {
-			if iter == p.Iterations {
-				b := &cluster.Broadcaster{SR: p.SR, Layers: p.LayerBound()}
-				return radio.Do(func() {
-					b.Label, b.Has, b.Msg = s.oldLayer, isSource, msg
-				}, b.BroadcastCont(t, p.FinalD, radio.Do(func() {
-					out.Informed = b.Has
-					out.Msg = b.Msg
-					out.Label = s.oldLayer
-					out.Cluster = s.oldCID
-				}, k)))
-			}
-			return s.iterationCont(iter, t, radio.Eval(func() radio.Cont {
-				return iterC(iter+1, t+p.iterSlots(p.lb[iter]))
-			}))
-		}
-		return iterC(0, 1)
-	})
+// stage is a machine's top-level position.
+type stage uint8
+
+const (
+	stStart     stage = iota // first step: draw the cluster seed
+	stIterate                // Partition(beta) iterations
+	stBroadcast              // the closing Lemma 10 Broadcast
+	stDone
+)
+
+// phase is a position inside one partition iteration. An epoch runs
+// announce, relabel-up, relabel-down, offer and gather; the iteration
+// ends with the heal-up and heal-down relabel passes.
+type phase uint8
+
+const (
+	phAnnounce phase = iota
+	phRelabelUp
+	phRelabelDown
+	phOffer
+	phGather
+	phHealUp
+	phHealDown
+)
+
+// machine is the Theorem 16 device program as one flat step machine
+// (radio.Proc). Its state is explicit: the partition iteration, epoch,
+// phase and Lemma 17 repetition live in its partition state, and the
+// closing Lemma 10 Broadcast is the embedded cluster.Broadcaster, whose
+// SR window also carries every window of the iterations. Build machines
+// with Devices; all of a run's machines share one *Params.
+type machine struct {
+	p   *Params
+	out *DeviceResult
+	it  *iterState // nil when p.Iterations == 0
+
+	// b runs the closing broadcast. b.Has and b.Msg hold the device's
+	// source flag and message from the start; the iterations never
+	// touch them.
+	b cluster.Broadcaster
+
+	idx      int
+	oldCID   int // current (old) clustering: cluster id
+	oldLayer int // and layer
+	stage    stage
 }
 
-// Proc returns the device step machine implementing Theorem 16.
-func Proc(p Params, isSource bool, msg any, out *DeviceResult) radio.Proc {
-	return radio.ContProc(func(ch radio.Channel) radio.Cont {
-		return RunCont(p, isSource, msg, out, nil)
-	})
+// iterState is a device's Partition(beta) bookkeeping and the cursor of
+// the iteration schedule. Every field is a value: the messages a device
+// holds are stored inline with presence flags.
+type iterState struct {
+	oldSeed uint64 // shared random seed of the device's old cluster
+
+	active   bool // member of an already re-clustered cluster
+	joined   bool // cluster merged but this member may lack a layer yet
+	newCID   int
+	newLayer int // -1 until known
+	newSeed  uint64
+
+	captured    offerMsg // offer captured in the current epoch
+	hasCaptured bool
+	pendingJoin gatherMsg // root only: the gathered join decision
+	hasPending  bool
+	announce    announceMsg // announcement relayed through the cluster
+	hasAnnounce bool
+	relay       gatherMsg // captured offer being gathered to the root
+	hasRelay    bool
+
+	iter  int // current partition iteration index
+	start int // root only: start epoch
+
+	epoch     int
+	phase     phase
+	rep, reps int    // Lemma 17 repetition within the phase, and the count
+	t         uint64 // next window's start
+	open      bool   // a window is in progress
+
+	// coin is the per-repetition participation generator, reseeded in
+	// place for every repetition.
+	coinSrc rand.PCG
+	coin    rand.Rand
 }
 
-// iterationCont emits one Partition(beta) round on the cluster graph:
-// per-iteration reset and the root's exponential draw at round start,
-// T+1 pipelined epochs, the healing relabel pass, and the old/new
-// clustering handover before k resumes.
-func (s *devState) iterationCont(iter int, start uint64, k radio.Cont) radio.Cont {
-	return radio.EvalCh(func(ch radio.Channel) radio.Cont {
-		p := s.p
-		s.iter = iter
-		// Reset per-iteration state; the previous clustering is "old".
-		s.active, s.joined = false, false
-		s.newCID, s.newLayer, s.newSeed = -1, -1, 0
-		s.captured, s.pendingJoin, s.announceBody = nil, nil, nil
-		if s.oldCID == s.idx {
-			s.dDelta = rng.Exponential(ch.Rand(), p.Beta)
-			s.start = p.EpochsPerIter - int(math.Ceil(s.dDelta))
-			if s.start < 1 {
-				s.start = 1
-			}
+// Devices returns a population running Theorem 16 with parameters p on
+// len(out) devices. Device v learns its source flag and message from
+// src(v) and leaves its final view in out[v]. The machines are one slab,
+// and their partition state a second slab when p iterates.
+func Devices(p *Params, out []DeviceResult, src func(v int) (bool, any)) []radio.Device {
+	n := len(out)
+	ms := make([]machine, n)
+	var its []iterState
+	if p.Iterations > 0 {
+		its = make([]iterState, n)
+	}
+	pop := make([]radio.Device, n)
+	for v := range ms {
+		m := &ms[v]
+		isSource, msg := src(v)
+		m.p, m.out = p, &out[v]
+		m.b = cluster.Broadcaster{SR: p.SR, Layers: p.LayerBound(), Has: isSource, Msg: msg}
+		if its != nil {
+			m.it = &its[v]
+			m.it.coin = *rand.New(&m.it.coinSrc)
 		}
-		sw := p.sweepSlots(p.lb[iter])
-		w := p.SR.Slots()
-		es := p.epochSlots(p.lb[iter])
-		var epochC func(epoch int, t uint64) radio.Cont
-		epochC = func(epoch int, t uint64) radio.Cont {
-			if epoch > p.EpochsPerIter+1 {
-				// Healing pass for relabel stragglers, then the new
-				// clustering becomes the old one for the next iteration.
-				return s.relabelUpCont(t, s.relabelDownCont(t+sw, radio.Do(func() {
-					if s.newLayer < 0 {
-						// Fallback (probability 1/poly(n)): keep the old
-						// identity as a singleton-style remnant so the
-						// labeling stays good locally.
-						s.newCID, s.newLayer, s.newSeed = s.oldCID, s.oldLayer, s.oldSeed
-					}
-					s.oldCID, s.oldLayer, s.oldSeed = s.newCID, s.newLayer, s.newSeed
-				}, k)))
-			}
-			return s.announcePhaseCont(t, epoch,
-				s.relabelUpCont(t+sw,
-					s.relabelDownCont(t+2*sw,
-						s.offerPhaseCont(t+3*sw, epoch,
-							s.gatherPhaseCont(t+3*sw+w,
-								radio.Eval(func() radio.Cont { return epochC(epoch+1, t+es) }))))))
-		}
-		return epochC(1, start)
-	})
+		pop[v].Proc = m
+	}
+	return pop
 }
 
-// announcePhaseCont: the old root announces either self-activation or
-// the gathered join decision; members adopt the new cluster identity.
-// Roots of singleton clusters act locally (no windows exist at lb=1).
-func (s *devState) announcePhaseCont(start uint64, epoch int, k radio.Cont) radio.Cont {
-	p := s.p
-	return radio.Do(func() {
-		isRoot := s.oldCID == s.idx
-		if isRoot && !s.active && !s.joined {
-			switch {
-			case s.pendingJoin != nil:
-				g := s.pendingJoin
-				s.joined = true
-				s.newCID = g.offer.newCID
-				s.newSeed = g.offer.newSeed
-				if g.capturer == s.idx {
-					s.newLayer = g.offer.newLayer + 1
-					s.active = true
+// Step advances the device program.
+func (m *machine) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+	if m.stage == stStart {
+		m.idx = ch.Index()
+		m.oldCID, m.oldLayer = m.idx, 0
+		seed := ch.Rand().Uint64() // the shared seed of the device's singleton cluster
+		if m.it == nil {
+			m.startBroadcast(1)
+		} else {
+			m.it.oldSeed, m.it.t = seed, 1
+			m.beginIteration(ch, 0)
+			m.stage = stIterate
+		}
+	}
+	if m.stage == stIterate {
+		s := m.it
+		for {
+			if s.open {
+				if act := m.b.Win.Step(ch, fb); act.Kind != radio.ActHalt {
+					return act
 				}
-				s.announceBody = &announceMsg{oldCID: s.oldCID, capturer: g.capturer, offer: g.offer}
-			case s.start <= epoch && epoch <= p.EpochsPerIter:
-				// Self-activate: the whole old cluster becomes a new cluster.
-				s.active, s.joined = true, true
-				s.newCID = s.oldCID
-				s.newLayer = s.oldLayer
-				s.newSeed = rng.Child(s.oldSeed, uint64(s.iter)+0x5eed)
-				s.announceBody = &announceMsg{oldCID: s.oldCID, activate: true}
+				s.open = false
+				if msg, ok := m.b.Win.Received(); ok {
+					m.accept(msg)
+				}
+			}
+			if !m.openWindow(ch) {
+				break
 			}
 		}
-	}, s.sweepCont(start, +1, // Downward sweep: members holding the announcement relay it.
-		func(int) (any, uint64, bool) {
-			if s.announceBody != nil {
-				return *s.announceBody, s.oldSeed, true
-			}
-			return nil, 0, false
-		},
-		func(_ int, m any) bool {
-			am, ok := m.(announceMsg)
-			if !ok || am.oldCID != s.oldCID || s.joined {
-				return false
-			}
-			s.joined = true
-			s.announceBody = &am
-			if am.activate {
-				s.active = true
-				s.newCID = s.oldCID
-				s.newLayer = s.oldLayer
-				s.newSeed = rng.Child(s.oldSeed, uint64(s.iter)+0x5eed)
-				return true
-			}
-			s.newCID = am.offer.newCID
-			s.newSeed = am.offer.newSeed
-			if am.capturer == s.idx {
-				s.newLayer = am.offer.newLayer + 1
-				s.active = true
-			}
-			return true
-		}, k))
-}
-
-// relabelUpCont / relabelDownCont: propagate new layers through a joined
-// cluster along the old labeling (Section 6.4).
-func (s *devState) relabelUpCont(start uint64, k radio.Cont) radio.Cont {
-	return s.sweepCont(start, -1, s.sendRelabel, s.acceptRelabel, k)
-}
-
-func (s *devState) relabelDownCont(start uint64, k radio.Cont) radio.Cont {
-	return s.sweepCont(start, +1, s.sendRelabel, s.acceptRelabel, k)
-}
-
-func (s *devState) sendRelabel(int) (any, uint64, bool) {
-	if s.joined && s.newLayer >= 0 {
-		return relabelMsg{oldCID: s.oldCID, newLayer: s.newLayer}, s.oldSeed, true
+		m.startBroadcast(s.t)
 	}
-	return nil, 0, false
+	if m.stage == stBroadcast {
+		if act := m.b.Step(ch, fb); act.Kind != radio.ActHalt {
+			return act
+		}
+		m.out.Informed, m.out.Msg = m.b.Has, m.b.Msg
+		m.out.Label, m.out.Cluster = m.oldLayer, m.oldCID
+		m.stage = stDone
+	}
+	return radio.Halt()
 }
 
-func (s *devState) acceptRelabel(_ int, m any) bool {
-	rm, ok := m.(relabelMsg)
-	if !ok || rm.oldCID != s.oldCID || !s.joined || s.newLayer >= 0 {
-		return false
+// startBroadcast arms the closing Lemma 10 Broadcast over the final
+// clustering's labeling.
+func (m *machine) startBroadcast(t uint64) {
+	m.b.Label = m.oldLayer
+	m.b.Reset(t, m.p.FinalD)
+	m.stage = stBroadcast
+}
+
+// beginIteration starts Partition(beta) round iter: the per-iteration
+// reset (the previous clustering is now "old") and the root's
+// exponential shift, then epoch 1.
+func (m *machine) beginIteration(ch radio.Channel, iter int) {
+	s, p := m.it, m.p
+	s.iter = iter
+	s.active, s.joined = false, false
+	s.newCID, s.newLayer, s.newSeed = -1, -1, 0
+	s.hasCaptured, s.hasPending, s.hasAnnounce = false, false, false
+	if m.oldCID == m.idx {
+		delta := rng.Exponential(ch.Rand(), p.Beta)
+		s.start = p.EpochsPerIter - int(math.Ceil(delta))
+		if s.start < 1 {
+			s.start = 1
+		}
 	}
-	s.newLayer = rm.newLayer + 1
-	s.active = true
+	s.epoch = 1
+	m.beginPhase(phAnnounce)
+}
+
+// beginPhase enters phase ph: its entry effects, and its repetition
+// count — one window for the offer, (lb-1)*CL Lemma 17 repetitions for
+// a sweep, none when the old labels have a single layer.
+func (m *machine) beginPhase(ph phase) {
+	s, p := m.it, m.p
+	s.phase, s.rep, s.reps = ph, 0, 1
+	if ph != phOffer {
+		s.reps = 0
+		if lb := p.lb[s.iter]; lb > 1 {
+			s.reps = (lb - 1) * p.CL
+		}
+	}
+	switch ph {
+	case phAnnounce:
+		m.announceDecision()
+	case phGather:
+		s.hasRelay = false
+		if s.hasCaptured && !s.joined {
+			s.relay = gatherMsg{oldCID: m.oldCID, capturer: m.idx, offer: s.captured}
+			s.hasRelay = true
+		}
+	}
+}
+
+// endPhase runs the current phase's exit effects and enters the next
+// phase, reporting false when the last iteration is over.
+func (m *machine) endPhase(ch radio.Channel) bool {
+	s, p := m.it, m.p
+	switch s.phase {
+	case phGather:
+		// The root records the decision; a captured offer at the root
+		// itself also counts.
+		if m.oldCID == m.idx && !s.joined && !s.hasPending && s.hasRelay {
+			s.pendingJoin, s.hasPending = s.relay, true
+		}
+		s.hasCaptured = false
+		s.epoch++
+		if s.epoch > p.EpochsPerIter+1 {
+			m.beginPhase(phHealUp)
+		} else {
+			m.beginPhase(phAnnounce)
+		}
+	case phHealDown:
+		if s.newLayer < 0 {
+			// Fallback (probability 1/poly(n)): keep the old identity as
+			// a singleton-style remnant so the labeling stays good
+			// locally.
+			s.newCID, s.newLayer, s.newSeed = m.oldCID, m.oldLayer, s.oldSeed
+		}
+		m.oldCID, m.oldLayer, s.oldSeed = s.newCID, s.newLayer, s.newSeed
+		if s.iter+1 == p.Iterations {
+			return false
+		}
+		m.beginIteration(ch, s.iter+1)
+	default:
+		m.beginPhase(s.phase + 1)
+	}
 	return true
 }
 
-// offerPhaseCont: active members advertise their new cluster; members of
-// still-unclustered clusters capture any offer (plain All-cast window).
-func (s *devState) offerPhaseCont(start uint64, epoch int, k radio.Cont) radio.Cont {
-	p := s.p
-	return radio.Eval(func() radio.Cont {
-		switch {
-		case s.active && epoch <= p.EpochsPerIter:
-			return p.SR.SendCont(start, func() any {
-				return offerMsg{newCID: s.newCID, newLayer: s.newLayer, newSeed: s.newSeed}
-			}, k)
-		case !s.joined && s.captured == nil && epoch <= p.EpochsPerIter:
-			return p.SR.ReceiveCont(start, func(m any, ok bool) {
-				if ok {
-					if om, isOffer := m.(offerMsg); isOffer {
-						s.captured = &om
-					}
-				}
-			}, k)
-		default:
-			return p.SR.SkipCont(start, k)
+// openWindow arms the next window of the iteration schedule in m.b.Win,
+// running phase transitions on the way; false means the iterations are
+// over. Roles are decided here, at the window's start.
+func (m *machine) openWindow(ch radio.Channel) bool {
+	s, p := m.it, m.p
+	for s.rep == s.reps {
+		if !m.endPhase(ch) {
+			return false
 		}
-	})
+	}
+	ws := s.t
+	role := cluster.Skip
+	var payload any
+	if s.phase == phOffer {
+		switch {
+		case s.active && s.epoch <= p.EpochsPerIter:
+			role = cluster.Send
+			payload = offerMsg{newCID: s.newCID, newLayer: s.newLayer, newSeed: s.newSeed}
+		case !s.joined && !s.hasCaptured && s.epoch <= p.EpochsPerIter:
+			role = cluster.Receive
+		}
+	} else {
+		// Lemma 17 repetition rep of window win, which links sender layer
+		// sl to receiver layer rl of the old labeling; a sender's
+		// cluster participates with probability 1/C.
+		lb, win := p.lb[s.iter], s.rep/p.CL
+		sl, rl := win, win+1
+		if s.phase == phRelabelUp || s.phase == phGather || s.phase == phHealUp {
+			sl, rl = lb-1-win, lb-2-win
+		}
+		switch {
+		case m.oldLayer == sl && m.sends() && s.flip(p.C, ws):
+			role, payload = cluster.Send, m.payload()
+		case m.oldLayer == rl:
+			role = cluster.Receive
+		}
+	}
+	m.b.Win.Reset(&p.SR, role, ws, payload)
+	s.rep++
+	s.t += p.SR.Slots()
+	s.open = true
+	return true
 }
 
-// gatherPhaseCont: captured offers are relayed up the old cluster to its
-// root, which records the first one as the pending join decision.
-func (s *devState) gatherPhaseCont(start uint64, k radio.Cont) radio.Cont {
-	var relay *gatherMsg
-	return radio.Do(func() {
-		relay = nil
-		if s.captured != nil && !s.joined {
-			relay = &gatherMsg{oldCID: s.oldCID, capturer: s.idx, offer: *s.captured}
+// flip reports whether the cluster with the current old seed
+// participates in the Lemma 17 repetition anchored at absolute slot ws
+// (probability 1/c). Every member derives the same coin.
+func (s *iterState) flip(c int, ws uint64) bool {
+	rng.Reseed(&s.coinSrc, rng.Child(s.oldSeed, ws))
+	return s.coin.IntN(c) == 0
+}
+
+// announceDecision is the announce phase's entry: an old root that has
+// not joined announces either the gathered join decision or, from its
+// start epoch on, self-activation. Roots of singleton clusters act
+// locally (no windows exist at lb=1).
+func (m *machine) announceDecision() {
+	s, p := m.it, m.p
+	if m.oldCID != m.idx || s.active || s.joined {
+		return
+	}
+	switch {
+	case s.hasPending:
+		g := s.pendingJoin
+		s.joined = true
+		s.newCID, s.newSeed = g.offer.newCID, g.offer.newSeed
+		if g.capturer == m.idx {
+			s.newLayer = g.offer.newLayer + 1
+			s.active = true
 		}
-	}, s.sweepCont(start, -1,
-		func(int) (any, uint64, bool) {
-			if relay != nil {
-				return *relay, s.oldSeed, true
-			}
-			return nil, 0, false
-		},
-		func(_ int, m any) bool {
-			gm, ok := m.(gatherMsg)
-			if !ok || gm.oldCID != s.oldCID || s.joined {
-				return false
-			}
-			relay = &gm
-			return true
-		},
-		radio.Do(func() {
-			// The root records the decision; a captured offer at the root
-			// itself also counts.
-			if s.oldCID == s.idx && !s.joined && s.pendingJoin == nil && relay != nil {
-				s.pendingJoin = relay
-			}
-			s.captured = nil
-		}, k)))
+		s.announce = announceMsg{oldCID: m.oldCID, capturer: g.capturer, offer: g.offer}
+		s.hasAnnounce = true
+	case s.start <= s.epoch && s.epoch <= p.EpochsPerIter:
+		// Self-activate: the whole old cluster becomes a new cluster.
+		m.activate()
+		s.announce = announceMsg{oldCID: m.oldCID, activate: true}
+		s.hasAnnounce = true
+	}
+}
+
+// activate makes the device's whole old cluster a new cluster.
+func (m *machine) activate() {
+	s := m.it
+	s.active, s.joined = true, true
+	s.newCID, s.newLayer = m.oldCID, m.oldLayer
+	s.newSeed = rng.Child(s.oldSeed, uint64(s.iter)+0x5eed)
+}
+
+// sends reports whether the device has something to relay in the
+// current sweep phase: the announcement (announce), its new layer
+// (relabel and heal passes) or a captured offer (gather).
+func (m *machine) sends() bool {
+	s := m.it
+	switch s.phase {
+	case phAnnounce:
+		return s.hasAnnounce
+	case phGather:
+		return s.hasRelay
+	default:
+		return s.joined && s.newLayer >= 0
+	}
+}
+
+// payload is the message of a sending device in the current sweep
+// phase.
+func (m *machine) payload() any {
+	s := m.it
+	switch s.phase {
+	case phAnnounce:
+		return s.announce
+	case phGather:
+		return s.relay
+	default:
+		return relabelMsg{oldCID: m.oldCID, newLayer: s.newLayer}
+	}
+}
+
+// accept handles a delivery in the current phase's window.
+func (m *machine) accept(msg any) {
+	s := m.it
+	switch s.phase {
+	case phAnnounce:
+		// Members adopt the new cluster identity the root announced.
+		am, ok := msg.(announceMsg)
+		if !ok || am.oldCID != m.oldCID || s.joined {
+			return
+		}
+		s.announce, s.hasAnnounce = am, true
+		if am.activate {
+			m.activate()
+			return
+		}
+		s.joined = true
+		s.newCID, s.newSeed = am.offer.newCID, am.offer.newSeed
+		if am.capturer == m.idx {
+			s.newLayer = am.offer.newLayer + 1
+			s.active = true
+		}
+	case phOffer:
+		// Members of still-unclustered clusters capture any offer.
+		if om, ok := msg.(offerMsg); ok {
+			s.captured, s.hasCaptured = om, true
+		}
+	case phGather:
+		// Captured offers are relayed up the old cluster to its root.
+		gm, ok := msg.(gatherMsg)
+		if !ok || gm.oldCID != m.oldCID || s.joined {
+			return
+		}
+		s.relay, s.hasRelay = gm, true
+	default:
+		// Relabel passes propagate new layers through a joined cluster
+		// along the old labeling (Section 6.4).
+		rm, ok := msg.(relabelMsg)
+		if !ok || rm.oldCID != m.oldCID || !s.joined || s.newLayer >= 0 {
+			return
+		}
+		s.newLayer = rm.newLayer + 1
+		s.active = true
+	}
 }
 
 // Outcome aggregates a run.
@@ -592,10 +685,7 @@ func Broadcast(g *graph.Graph, source int, msg any, p Params, seed uint64) (*Out
 	}
 	n := g.N()
 	devs := make([]DeviceResult, n)
-	pop := make([]radio.Device, n)
-	for v := 0; v < n; v++ {
-		pop[v].Proc = Proc(p, v == source, msg, &devs[v])
-	}
+	pop := Devices(&p, devs, func(v int) (bool, any) { return v == source, msg })
 	res, err := radio.RunDevices(radio.Config{Graph: g, Model: p.SR.Model, Seed: seed, MaxSlots: 1 << 62, Sims: p.Sims}, pop)
 	if err != nil {
 		return nil, err

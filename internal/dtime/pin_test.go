@@ -107,10 +107,7 @@ func TestPortPin(t *testing.T) {
 		}
 		devs := make([]DeviceResult, n)
 		h := fnv.New64a()
-		pop := make([]radio.Device, n)
-		for v := 0; v < n; v++ {
-			pop[v].Proc = Proc(p, v == 0, "pin", &devs[v])
-		}
+		pop := Devices(&p, devs, func(v int) (bool, any) { return v == 0, "pin" })
 		res, err := radio.RunDevices(radio.Config{Graph: sc.g, Model: p.SR.Model, Seed: sc.seed,
 			MaxSlots: 1 << 62,
 			Trace:    func(ev radio.Event) { fmt.Fprintln(h, evString(ev)) }}, pop)

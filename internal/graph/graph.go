@@ -32,12 +32,15 @@ type Graph struct {
 	csrOff []int32
 	csrAdj []int32
 
-	// diamMu guards the stored Diameter result, computed on first call
-	// and cleared by AddEdge like the CSR mirror.
+	// diamMu guards the stored Diameter and IsConnected results, each
+	// computed on its first call and cleared by AddEdge like the CSR
+	// mirror.
 	diamMu  sync.Mutex
 	diamOK  bool
 	diam    int
 	diamErr error
+	connOK  bool
+	conn    bool
 }
 
 // errDisconnected is the error Eccentricity and Diameter report for a
@@ -83,8 +86,8 @@ func (g *Graph) AddEdge(u, v int) error {
 	g.adj[u] = insertSorted(g.adj[u], v)
 	g.adj[v] = insertSorted(g.adj[v], u)
 	g.m++
-	g.csrOff, g.csrAdj = nil, nil // invalidate the CSR mirror
-	g.diamOK = false              // and the stored diameter
+	g.csrOff, g.csrAdj = nil, nil     // invalidate the CSR mirror
+	g.diamOK, g.connOK = false, false // and the stored diameter and connectivity
 	return nil
 }
 
@@ -205,7 +208,23 @@ func (g *Graph) BFS(src int) []int {
 }
 
 // IsConnected reports whether the graph is connected (true for n <= 1).
+//
+// Like Diameter, the answer is computed on the first call and stored on
+// the graph, AddEdge clears it, later calls return it without
+// allocating, and concurrent first calls are safe once construction is
+// finished.
 func (g *Graph) IsConnected() bool {
+	g.diamMu.Lock()
+	defer g.diamMu.Unlock()
+	if !g.connOK {
+		g.conn = g.bfsReachesAll()
+		g.connOK = true
+	}
+	return g.conn
+}
+
+// bfsReachesAll reports whether a BFS from vertex 0 reaches every vertex.
+func (g *Graph) bfsReachesAll() bool {
 	if g.N() <= 1 {
 		return true
 	}

@@ -642,3 +642,66 @@ func BenchmarkDiameter(b *testing.B) {
 		})
 	}
 }
+
+func TestIsConnectedClearedByAddEdge(t *testing.T) {
+	g := New(3)
+	if err := g.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if g.IsConnected() {
+		t.Fatal("{0,1} + isolated 2: connected")
+	}
+	if err := g.AddEdge(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if !g.IsConnected() {
+		t.Fatal("after AddEdge(1,2): still reported disconnected")
+	}
+	c := g.Clone()
+	if c.connOK {
+		t.Fatal("Clone copied the stored connectivity")
+	}
+	if !c.IsConnected() {
+		t.Fatal("clone of a connected graph reported disconnected")
+	}
+}
+
+func TestIsConnectedConcurrent(t *testing.T) {
+	for _, tc := range []struct {
+		g    *Graph
+		want bool
+	}{
+		{RandomGeometric(300, 0, 5), true},
+		{New(300), false},
+	} {
+		const workers = 8
+		got := make([]bool, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				got[w] = tc.g.IsConnected()
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		for w, c := range got {
+			if c != tc.want {
+				t.Fatalf("goroutine %d: IsConnected = %v, want %v", w, c, tc.want)
+			}
+		}
+	}
+}
+
+func TestIsConnectedWarmAllocs(t *testing.T) {
+	g := Grid(8, 8)
+	if !g.IsConnected() {
+		t.Fatal("grid disconnected")
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = g.IsConnected() }); a != 0 {
+		t.Fatalf("warm IsConnected: %v allocs/op, want 0", a)
+	}
+}

@@ -114,9 +114,10 @@ func RunCont(p Params, isSource bool, msg any, out *DeviceResult, k radio.Cont) 
 	iter = func(it int, t uint64) radio.Cont {
 		if it == p.Iterations {
 			b := &cluster.Broadcaster{SR: p.SR, Layers: p.Layers}
+			b.Reset(t, p.FinalD)
 			return radio.Do(func() {
 				b.Label, b.Has, b.Msg = lab, isSource, msg
-			}, b.BroadcastCont(t, p.FinalD, radio.Do(func() {
+			}, radio.ProcCont(b, radio.Do(func() {
 				out.Informed = b.Has
 				out.Msg = b.Msg
 				out.Label = lab

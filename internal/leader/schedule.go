@@ -45,6 +45,13 @@ type Schedule struct {
 // NewSchedule returns a controller for at most maxContenders contenders
 // (at least 1).
 func NewSchedule(maxContenders int) *Schedule {
+	s := MakeSchedule(maxContenders)
+	return &s
+}
+
+// MakeSchedule is NewSchedule by value, for step machines that embed the
+// controller instead of allocating it.
+func MakeSchedule(maxContenders int) Schedule {
 	m := 1
 	for v := 2; v < maxContenders; v *= 2 {
 		m++
@@ -52,7 +59,7 @@ func NewSchedule(maxContenders int) *Schedule {
 	if m < 1 {
 		m = 1
 	}
-	return &Schedule{max: m, k: 1}
+	return Schedule{max: m, k: 1}
 }
 
 // Max returns the largest exponent the schedule uses.

@@ -2,8 +2,13 @@ package radio
 
 // This file exports the continuation-combinator vocabulary for porting
 // blocking protocols to the step ABI. detcast introduced the style with
-// package-private helpers; cluster and cdmerge build on these exported
-// forms, so new ports stop re-deriving the same five functions.
+// package-private helpers; cdmerge, iterclust, partition and coloring
+// build on these exported forms, and cluster keeps continuation
+// wrappers (Spec.SendCont, ReceiveCont, SkipCont and the Refiner forms)
+// for them. Every closure here is allocated per use, so hot protocols
+// are written as flat step machines instead (dtime's device machine,
+// cluster.Window and cluster.Broadcaster), which continuation code
+// nests with ProcCont.
 //
 // The discipline the combinators encode: assemble the slot schedule (a
 // pure function of the protocol parameters) eagerly as a continuation

@@ -61,12 +61,13 @@ func DecayPhasesForFailure(n int) int {
 	return ph
 }
 
-// decaySend is the resumable step machine of the sender role: in each
+// DecaySend is the resumable step machine of the sender role: in each
 // phase it transmits in slot 0, then survives each subsequent slot with
 // probability 1/2 (transmitting while alive) — the classical decay
 // pattern, giving expected O(Phases) energy. One survival draw follows
-// every transmit.
-type decaySend struct {
+// every transmit. Reset arms it for one window in place, so a caller
+// can embed it by value and reuse it window after window.
+type DecaySend struct {
 	p       DecayParams
 	start   uint64
 	payload any
@@ -78,10 +79,18 @@ type decaySend struct {
 // DecaySendProc returns the sender role as an inline step proc
 // occupying [start, start+Slots()). Procs are single-use.
 func DecaySendProc(start uint64, p DecayParams, payload any) radio.Proc {
-	return &decaySend{p: p, start: start, payload: payload}
+	s := new(DecaySend)
+	s.Reset(start, p, payload)
+	return s
 }
 
-func (s *decaySend) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+// Reset arms s for the window [start, start+p.Slots()).
+func (s *DecaySend) Reset(start uint64, p DecayParams, payload any) {
+	*s = DecaySend{p: p, start: start, payload: payload}
+}
+
+// Step advances the sender role.
+func (s *DecaySend) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 	if s.done {
 		return radio.Halt()
 	}
@@ -108,9 +117,10 @@ func (s *decaySend) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 	}
 }
 
-// decayRecv is the receiver role: it listens until the first message
-// heard (at most the whole window).
-type decayRecv struct {
+// DecayReceive is the receiver role: it listens until the first message
+// heard (at most the whole window). Like DecaySend it is reusable in
+// place through Reset.
+type DecayReceive struct {
 	p     DecayParams
 	start uint64
 	got   *any
@@ -124,10 +134,19 @@ type decayRecv struct {
 // The first received payload (if any) is stored through got/ok when the
 // proc halts. Procs are single-use.
 func DecayReceiveProc(start uint64, p DecayParams, got *any, ok *bool) radio.Proc {
-	return &decayRecv{p: p, start: start, got: got, ok: ok}
+	r := new(DecayReceive)
+	r.Reset(start, p, got, ok)
+	return r
 }
 
-func (r *decayRecv) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+// Reset arms r for the window [start, start+p.Slots()); the first
+// payload heard is stored through got/ok.
+func (r *DecayReceive) Reset(start uint64, p DecayParams, got *any, ok *bool) {
+	*r = DecayReceive{p: p, start: start, got: got, ok: ok}
+}
+
+// Step advances the receiver role.
+func (r *DecayReceive) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 	if r.done {
 		return radio.Halt()
 	}
@@ -204,15 +223,16 @@ func CDEpochsForFailure(n, delta int) int {
 	return ep
 }
 
-// cdSend is the sender role of the Lemma 8 protocol. The sender is
+// CDSend is the sender role of the Lemma 8 protocol. The sender is
 // oblivious: in each epoch it transmits at exponent-slot i with
 // probability 2^-i, capped at two transmissions per epoch. With
 // Precheck it first checks for receiver neighbors; with Ack it listens
 // at each epoch's final slot and stops once its (unique) receiver
 // announces success. The machine draws an epoch's whole transmission
 // plan at epoch entry; channel actions never touch the private random
-// stream, so the draw order is independent of channel feedback.
-type cdSend struct {
+// stream, so the draw order is independent of channel feedback. Reset
+// arms it for one window in place.
+type CDSend struct {
 	p       CDParams
 	start   uint64
 	payload any
@@ -227,10 +247,18 @@ type cdSend struct {
 // CDSendProc returns the sender role as an inline step proc. Procs are
 // single-use.
 func CDSendProc(start uint64, p CDParams, payload any) radio.Proc {
-	return &cdSend{p: p, start: start, payload: payload}
+	s := new(CDSend)
+	s.Reset(start, p, payload)
+	return s
 }
 
-func (s *cdSend) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+// Reset arms s for the window [start, start+p.Slots()).
+func (s *CDSend) Reset(start uint64, p CDParams, payload any) {
+	*s = CDSend{p: p, start: start, payload: payload}
+}
+
+// Step advances the sender role.
+func (s *CDSend) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 	p := s.p
 	switch s.pc {
 	case 0:
@@ -270,7 +298,7 @@ func (s *cdSend) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 
 // enterEpoch draws the epoch's transmission plan and emits its first
 // action (or finishes the window when the epochs are exhausted).
-func (s *cdSend) enterEpoch(ch radio.Channel) radio.Action {
+func (s *CDSend) enterEpoch(ch radio.Channel) radio.Action {
 	if s.ep >= s.p.Epochs {
 		return s.finish()
 	}
@@ -290,7 +318,7 @@ func (s *cdSend) enterEpoch(ch radio.Channel) radio.Action {
 
 // emitEpoch plays out the drawn plan: the pending transmits, then the
 // optional ACK listen, then the next epoch.
-func (s *cdSend) emitEpoch(ch radio.Channel) radio.Action {
+func (s *CDSend) emitEpoch(ch radio.Channel) radio.Action {
 	if s.pi < s.np {
 		slot := s.pending[s.pi]
 		s.pi++
@@ -305,15 +333,16 @@ func (s *cdSend) emitEpoch(ch radio.Channel) radio.Action {
 	return s.enterEpoch(ch)
 }
 
-func (s *cdSend) finish() radio.Action {
+func (s *CDSend) finish() radio.Action {
 	s.pc = 4
 	return radio.Sleep(s.start + s.p.Slots() - 1)
 }
 
-// cdRecv is the receiver role: it steers a leader.Schedule with the
-// feedback from one listening slot per epoch and stops after the first
-// successful delivery (announcing it in the ACK slot when enabled).
-type cdRecv struct {
+// CDReceive is the receiver role: it steers a leader.Schedule, held by
+// value, with the feedback from one listening slot per epoch and stops
+// after the first successful delivery (announcing it in the ACK slot
+// when enabled). Reset arms it for one window in place.
+type CDReceive struct {
 	p     CDParams
 	start uint64
 	got   *any
@@ -322,22 +351,31 @@ type cdRecv struct {
 	pc    int // 0 start, 1 probe sent, 2 precheck fb, 3 epoch fb, 4 ack sent, 5 done
 	kMax  int
 	ep    int
-	sched *leader.Schedule
+	sched leader.Schedule
 }
 
 // CDReceiveProc returns the receiver role as an inline step proc. The
 // received payload (if any) is stored through got/ok. Procs are
 // single-use.
 func CDReceiveProc(start uint64, p CDParams, got *any, ok *bool) radio.Proc {
-	return &cdRecv{p: p, start: start, got: got, ok: ok}
+	r := new(CDReceive)
+	r.Reset(start, p, got, ok)
+	return r
 }
 
-func (r *cdRecv) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+// Reset arms r for the window [start, start+p.Slots()); the payload
+// received, if any, is stored through got/ok. *ok must start false.
+func (r *CDReceive) Reset(start uint64, p CDParams, got *any, ok *bool) {
+	*r = CDReceive{p: p, start: start, got: got, ok: ok}
+}
+
+// Step advances the receiver role.
+func (r *CDReceive) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 	p := r.p
 	switch r.pc {
 	case 0:
 		r.kMax = rng.Log2Ceil(p.Delta) + 1
-		r.sched = leader.NewSchedule(p.Delta)
+		r.sched = leader.MakeSchedule(p.Delta)
 		if p.Precheck {
 			// Slot 1: receivers transmit a probe.
 			r.pc = 1
@@ -378,7 +416,7 @@ func (r *cdRecv) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 
 // epochListen emits the epoch's single schedule-steered listen, or
 // finishes the window when the epochs are exhausted.
-func (r *cdRecv) epochListen() radio.Action {
+func (r *CDReceive) epochListen() radio.Action {
 	if r.ep >= r.p.Epochs {
 		return r.finish()
 	}
@@ -391,7 +429,7 @@ func (r *cdRecv) epochListen() radio.Action {
 	return radio.Listen(base + uint64(k-1))
 }
 
-func (r *cdRecv) finish() radio.Action {
+func (r *CDReceive) finish() radio.Action {
 	r.pc = 5
 	return radio.Sleep(r.start + r.p.Slots() - 1)
 }
