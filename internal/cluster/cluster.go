@@ -172,6 +172,8 @@ type Refiner struct {
 	Old int
 	// New is the device's label under L' (Bottom until assigned).
 	New int
+
+	win Window // the SR window every refinement window runs in
 }
 
 // RefineSlots returns the total window length of a refinement with

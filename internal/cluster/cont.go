@@ -1,34 +1,34 @@
 package cluster
 
 // Continuation forms of the SR-communication window and the Refiner,
-// for protocols written against radio.Cont. The SR forms are thin
-// wrappers over Window, which holds the one SR-window implementation;
-// each evaluates mutable device state (roles, payloads) at its window's
-// start, so a continuation protocol keeps the evaluation order of its
-// blocking ancestor — the property the cdmerge and partition port pins
-// hold.
+// for protocols written against radio.Cont. The SR forms run a Window
+// that the device program owns, so a device reuses one Window for every
+// window it takes part in and only the continuation closures are
+// allocated. Each form evaluates mutable device state (roles, payloads)
+// at its window's start, so a continuation protocol keeps the
+// evaluation order of its blocking ancestor — the property the
+// iterclust and partition port pins hold.
 
 import (
 	"repro/internal/labeling"
 	"repro/internal/radio"
 )
 
-// SendCont participates in the window at start as a sender, then
+// SendCont runs w as a sender in the window of sr at start, then
 // resumes with k. payload is read at window start.
-func (s Spec) SendCont(start uint64, payload func() any, k radio.Cont) radio.Cont {
+func (w *Window) SendCont(sr *Spec, start uint64, payload func() any, k radio.Cont) radio.Cont {
 	return radio.Eval(func() radio.Cont {
-		w := new(Window)
-		w.Reset(&s, Send, start, payload())
+		w.Reset(sr, Send, start, payload())
 		return radio.ProcCont(w, k)
 	})
 }
 
-// ReceiveCont participates in the window as a receiver; done observes
-// the delivery (message, ok) when the window ends, before k resumes.
-func (s Spec) ReceiveCont(start uint64, done func(any, bool), k radio.Cont) radio.Cont {
+// ReceiveCont runs w as a receiver in the window of sr at start; done
+// observes the delivery (message, ok) when the window ends, before k
+// resumes.
+func (w *Window) ReceiveCont(sr *Spec, start uint64, done func(any, bool), k radio.Cont) radio.Cont {
 	return radio.Eval(func() radio.Cont {
-		w := new(Window)
-		w.Reset(&s, Receive, start, nil)
+		w.Reset(sr, Receive, start, nil)
 		return radio.ProcCont(w, radio.Do(func() { done(w.Received()) }, k))
 	})
 }
@@ -47,9 +47,9 @@ func (r *Refiner) refineWindow(ws uint64, sendLayer, recvLayer int, k radio.Cont
 	return radio.Eval(func() radio.Cont {
 		switch {
 		case r.New != labeling.Bottom && r.Old == sendLayer:
-			return r.SR.SendCont(ws, func() any { return r.New }, k)
+			return r.win.SendCont(&r.SR, ws, func() any { return r.New }, k)
 		case r.New == labeling.Bottom && r.Old == recvLayer:
-			return r.SR.ReceiveCont(ws, func(m any, ok bool) {
+			return r.win.ReceiveCont(&r.SR, ws, func(m any, ok bool) {
 				if ok {
 					if lab, isInt := m.(int); isInt {
 						r.New = lab + 1
@@ -96,9 +96,9 @@ func (r *Refiner) UpSweepCont(start uint64, k radio.Cont) radio.Cont {
 func (r *Refiner) AllWindowCont(start uint64, k radio.Cont) radio.Cont {
 	return radio.Eval(func() radio.Cont {
 		if r.New != labeling.Bottom {
-			return r.SR.SendCont(start, func() any { return r.New }, k)
+			return r.win.SendCont(&r.SR, start, func() any { return r.New }, k)
 		}
-		return r.SR.ReceiveCont(start, func(m any, ok bool) {
+		return r.win.ReceiveCont(&r.SR, start, func(m any, ok bool) {
 			if ok {
 				if lab, isInt := m.(int); isInt {
 					r.New = lab + 1

@@ -106,6 +106,7 @@ func RunCont(p Params, start uint64, out *Result, k radio.Cont) radio.Cont {
 				out.Layer = 0
 			}
 		}, k)
+		var win cluster.Window // the device's SR window, reused every epoch
 		var epoch func(t int) radio.Cont
 		epoch = func(t int) radio.Cont {
 			if t > p.Epochs {
@@ -120,11 +121,11 @@ func RunCont(p Params, start uint64, out *Result, k radio.Cont) radio.Cont {
 					out.Layer = 0
 				}
 				if out.Cluster >= 0 {
-					return p.SR.SendCont(ws, func() any {
+					return win.SendCont(&p.SR, ws, func() any {
 						return msg{cluster: out.Cluster, layer: out.Layer}
 					}, next)
 				}
-				return p.SR.ReceiveCont(ws, func(m any, ok bool) {
+				return win.ReceiveCont(&p.SR, ws, func(m any, ok bool) {
 					if ok {
 						if mm, isMsg := m.(msg); isMsg {
 							out.Cluster = mm.cluster

@@ -3,9 +3,9 @@ package radio
 // This file exports the continuation-combinator vocabulary for porting
 // blocking protocols to the step ABI. detcast introduced the style with
 // package-private helpers; cdmerge, iterclust, partition and coloring
-// build on these exported forms, and cluster keeps continuation
-// wrappers (Spec.SendCont, ReceiveCont, SkipCont and the Refiner forms)
-// for them. Every closure here is allocated per use, so hot protocols
+// build on these exported forms, and cluster keeps continuation forms
+// for them (Window.SendCont and ReceiveCont, Spec.SkipCont, and the
+// Refiner's sweeps). Every closure here is allocated per use, so hot protocols
 // are written as flat step machines instead (dtime's device machine,
 // cluster.Window and cluster.Broadcaster), which continuation code
 // nests with ProcCont.
