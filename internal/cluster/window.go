@@ -33,7 +33,7 @@ const (
 type Window struct {
 	model radio.Model
 	role  Role
-	stage uint8 // Local and Skip progress: 0 before the action, 1 after
+	stage uint8 // Local and Skip progress: 0, then 1 after the action; Local ends at 2
 	ok    bool  // Receive: got holds a delivery
 
 	slot    uint64 // Local: the window's slot; Skip: its last slot
