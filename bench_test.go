@@ -418,6 +418,68 @@ func BenchmarkSchedulerSparse256(b *testing.B) {
 	}
 }
 
+// starRounds is the number of actions each device of the star scheduler
+// benchmark takes before halting.
+const starRounds = 40
+
+// starHubProc is the hub of BenchmarkSchedulerStar1024: one transmit per
+// round on a slot of its own, staggered through the round, which lands on
+// the leaves' listening slot every fourth round.
+type starHubProc struct{ k uint64 }
+
+func (p *starHubProc) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+	if p.k >= starRounds {
+		return radio.Halt()
+	}
+	k := p.k
+	p.k++
+	return radio.Transmit(4*k+1+k%4, radio.BoxInt(ch, int(k)))
+}
+
+// starLeafProc is a leaf of BenchmarkSchedulerStar1024: it listens every
+// fourth slot, in lockstep with every other leaf.
+type starLeafProc struct{ k uint64 }
+
+func (p *starLeafProc) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
+	if p.k >= starRounds {
+		return radio.Halt()
+	}
+	p.k++
+	return radio.Listen(4 * p.k)
+}
+
+// BenchmarkSchedulerStar1024 measures the scheduler on the shape of a
+// Theorem 16 trial on star-1024: 1023 leaves post every listen in
+// lockstep while the hub keeps its own staggered schedule, so every
+// round queues one large same-slot cohort beside a singleton. Inline
+// step procs on a reused simulator isolate the slot substrate.
+func BenchmarkSchedulerStar1024(b *testing.B) {
+	const n = 1024
+	g := graph.Star(n)
+	sim, err := radio.NewSimulator(g, radio.Config{Graph: g, Model: CDBench})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var hub starHubProc
+	leaves := make([]starLeafProc, n-1)
+	devs := make([]radio.Device, n)
+	devs[0].Proc = &hub
+	for v := 1; v < n; v++ {
+		devs[v].Proc = &leaves[v-1]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hub = starHubProc{}
+		for v := range leaves {
+			leaves[v] = starLeafProc{}
+		}
+		if _, err := sim.RunDevices(uint64(i), devs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // CDBench aliases the model used by the scheduler benchmarks so both
 // stay in sync if the contention model is changed.
 const CDBench = radio.CD

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/fault"
@@ -11,16 +12,18 @@ import (
 	"repro/internal/rng"
 )
 
-// heapEntry is one pending device in the slot-ordered min-heap. Each
-// device has at most one pending request, so the heap never exceeds n.
-type heapEntry struct {
+// runEntry is one pending run in the slot-ordered queue: devices that
+// posted the same slot next to each other in one gather round, linked
+// in ascending device order through Simulator.next from head. A device
+// sits in at most one pending run, so the queue never exceeds n entries.
+type runEntry struct {
 	slot uint64
-	dev  int32
+	head int32
 }
 
 // Simulator is a reusable execution engine bound to one topology. It
 // preallocates every per-device structure — envs, action lanes, random
-// streams, the scheduler heap and scratch — once, so that repeated runs
+// streams, the run queue, its links and scratch — once, so that repeated runs
 // on the same graph (Monte-Carlo trials, benchmark iterations) stop
 // churning the allocator: a run allocates one Result and its counter
 // backing array, nothing else.
@@ -30,6 +33,12 @@ type heapEntry struct {
 // struct: with every proc stepped on the scheduler goroutine there is
 // no cross-goroutine sharing to pad against, and the cohort loops scan
 // each lane contiguously.
+//
+// Pending requests wait in a 4-ary min-heap of runs rather than of
+// devices: each gather round's posted list is ascending, so every
+// maximal stretch of it asking for one slot is queued as one entry whose
+// devices are linked through next. When most devices act in lockstep, a
+// round queues a handful of runs instead of n devices.
 //
 // A Simulator is NOT safe for concurrent use; run one per goroutine
 // (internal/sweep keeps one cache per worker). Determinism is untouched
@@ -74,7 +83,8 @@ type Simulator struct {
 	payloads   []any // in-flight transmit payloads (cleared per slot)
 	fbs        []Feedback
 	errs       []error
-	heap       []heapEntry
+	heap       []runEntry // pending runs, a 4-ary min-heap on (slot, head)
+	next       []int32    // run links: the next device of v's run, -1 at its tail
 	cohort     []int32
 	posted     []int32 // per-round scratch: non-halt posts, ascending device order
 	awaiting   []int32 // devices whose next action the scheduler is waiting on
@@ -126,7 +136,8 @@ func NewSimulator(g *graph.Graph, cfg Config) (*Simulator, error) {
 		payloads:   make([]any, n),
 		fbs:        make([]Feedback, n),
 		errs:       make([]error, n),
-		heap:       make([]heapEntry, 0, n),
+		heap:       make([]runEntry, 0, n),
+		next:       make([]int32, n),
 		cohort:     make([]int32, 0, n),
 		posted:     make([]int32, 0, n),
 		awaiting:   make([]int32, 0, n),
@@ -373,9 +384,11 @@ func (s *Simulator) gather() (t uint64, done bool) {
 	// The awaiting list is in ascending device order (it is the previous
 	// cohort, or all devices initially), so posted inherits that order.
 	s.stepAwaited()
-	heapWasEmpty := len(s.heap) == 0
 	s.posted = s.posted[:0]
-	minSlot, maxSlot := ^uint64(0), uint64(0)
+	// runs counts the maximal same-slot stretches of posted. Requested
+	// slots are at least 1 (a device clock starts at 0 and every action
+	// lies strictly ahead of it), so 0 never matches a first post.
+	runs, last := 0, uint64(0)
 	for _, v := range s.awaiting {
 		if s.kinds[v] == actHalt {
 			s.live--
@@ -386,36 +399,67 @@ func (s *Simulator) gather() (t uint64, done bool) {
 			continue
 		}
 		s.posted = append(s.posted, v)
-		if s.slots[v] < minSlot {
-			minSlot = s.slots[v]
-		}
-		if s.slots[v] > maxSlot {
-			maxSlot = s.slots[v]
+		if s.slots[v] != last {
+			runs++
+			last = s.slots[v]
 		}
 	}
 	s.awaiting = s.awaiting[:0]
 	if s.live == 0 {
 		return 0, true
 	}
-	if heapWasEmpty && minSlot == maxSlot {
-		// Lockstep fast path: no pending future requests and every
-		// live device asked for the same slot — the cohort is the
-		// posted list itself (already ascending), no heap traffic.
-		t = minSlot
-		s.cohort = append(s.cohort[:0], s.posted...)
-	} else {
-		for _, v := range s.posted {
-			s.heapPush(heapEntry{slot: s.slots[v], dev: v})
+	if runs == 1 && len(s.heap) == 0 {
+		// One run and nothing pending: the cohort is the posted list
+		// itself (already ascending), so swap the buffers and skip the
+		// queue altogether.
+		s.cohort, s.posted = s.posted, s.cohort
+		return last, false
+	}
+	s.pushRuns()
+	return s.popCohort(), false
+}
+
+// pushRuns queues the round's posted list as runs: each maximal stretch
+// asking for one slot is linked head to tail through s.next and pushed
+// as a single entry.
+func (s *Simulator) pushRuns() {
+	posted := s.posted
+	for i := 0; i < len(posted); {
+		head := posted[i]
+		slot := s.slots[head]
+		j := i + 1
+		for ; j < len(posted) && s.slots[posted[j]] == slot; j++ {
+			s.next[posted[j-1]] = posted[j]
 		}
-		// The next populated slot is the heap minimum; pop its cohort
-		// (ascending device order, by the heap tie-break).
-		t = s.heap[0].slot
-		s.cohort = s.cohort[:0]
-		for len(s.heap) > 0 && s.heap[0].slot == t {
-			s.cohort = append(s.cohort, s.heapPop().dev)
+		s.next[posted[j-1]] = -1
+		s.heapPush(runEntry{slot: slot, head: head})
+		i = j
+	}
+}
+
+// popCohort pops every run queued for the minimum slot and stages their
+// devices in s.cohort, returning that slot. Runs pop in head order and
+// each is ascending, so the concatenation is already in ascending device
+// order unless runs from different rounds interleave; only then is the
+// cohort sorted.
+func (s *Simulator) popCohort() uint64 {
+	t := s.heap[0].slot
+	cohort := s.cohort[:0]
+	sorted := true
+	for len(s.heap) > 0 && s.heap[0].slot == t {
+		v := s.heapPop().head
+		if len(cohort) > 0 && v < cohort[len(cohort)-1] {
+			sorted = false
+		}
+		for ; v >= 0; v = s.next[v] {
+			cohort = append(cohort, v)
 		}
 	}
-	return t, false
+	if !sorted {
+		slices.Sort(cohort)
+	}
+	s.cohort = cohort
+	return t
 }
 
 // resolveSlot resolves the gathered cohort at slot t: budget checks,
@@ -726,50 +770,63 @@ func (s *Simulator) resolveChannel(v int32, t uint64) Feedback {
 	}
 }
 
-// less orders entries by slot, breaking ties by device index so cohorts
-// pop in ascending-device order — the deterministic order the engine has
-// always used.
-func (s *Simulator) less(a, b heapEntry) bool {
+// runLess orders queued runs by slot, breaking ties by head device so a
+// slot's runs pop in head order.
+func runLess(a, b runEntry) bool {
 	if a.slot != b.slot {
 		return a.slot < b.slot
 	}
-	return a.dev < b.dev
+	return a.head < b.head
 }
 
-func (s *Simulator) heapPush(e heapEntry) {
-	s.heap = append(s.heap, e)
-	i := len(s.heap) - 1
+// heapPush adds e to the 4-ary run heap, sifting a hole up from the
+// new leaf instead of swapping at every level.
+func (s *Simulator) heapPush(e runEntry) {
+	h := append(s.heap, e)
+	i := len(h) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(s.heap[i], s.heap[parent]) {
+		p := (i - 1) / 4
+		if !runLess(e, h[p]) {
 			break
 		}
-		s.heap[i], s.heap[parent] = s.heap[parent], s.heap[i]
-		i = parent
+		h[i] = h[p]
+		i = p
 	}
+	h[i] = e
+	s.heap = h
 }
 
-func (s *Simulator) heapPop() heapEntry {
-	top := s.heap[0]
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
+// heapPop removes and returns the minimum run, sifting the last entry
+// down from the root's hole.
+func (s *Simulator) heapPop() runEntry {
+	h := s.heap
+	top := h[0]
+	n := len(h) - 1
+	e := h[n]
+	h = h[:n]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(s.heap) && s.less(s.heap[l], s.heap[smallest]) {
-			smallest = l
+		c := 4*i + 1
+		if c >= n {
+			break
 		}
-		if r < len(s.heap) && s.less(s.heap[r], s.heap[smallest]) {
-			smallest = r
+		m := c
+		for k, end := c+1, min(c+4, n); k < end; k++ {
+			if runLess(h[k], h[m]) {
+				m = k
+			}
 		}
-		if smallest == i {
-			return top
+		if !runLess(h[m], e) {
+			break
 		}
-		s.heap[i], s.heap[smallest] = s.heap[smallest], s.heap[i]
-		i = smallest
+		h[i] = h[m]
+		i = m
 	}
+	if n > 0 {
+		h[i] = e
+	}
+	s.heap = h
+	return top
 }
 
 // internCap bounds the boxed-integer interning table: values in
