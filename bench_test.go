@@ -389,11 +389,11 @@ func (p *sparseProc) Step(ch radio.Channel, fb radio.Feedback) radio.Action {
 
 // BenchmarkSchedulerSparse256 is the adversarial case for a linear-scan
 // scheduler: 256 devices whose action slots are spread far apart, so
-// nearly every cohort is a single device and the per-slot O(n) scans
-// dominate. The min-heap brings each slot to O(log n); inline step
-// procs remove the per-action park/wake, and BoxInt interning removes
-// the non-constant-payload boxing allocation that used to dominate this
-// bench's allocation profile.
+// every cohort is a single device and every queued run a singleton. The
+// 4-ary run heap brings each slot to O(log n) with no per-run linking to
+// pay back; inline step procs remove the per-action park/wake, and BoxInt
+// interning removes the non-constant-payload boxing allocation that used
+// to dominate this bench's allocation profile.
 func BenchmarkSchedulerSparse256(b *testing.B) {
 	const n = 256
 	g := graph.Path(n)

@@ -37,10 +37,12 @@
 // radio.ProcCont; procs nest under virtual channels (coloring's
 // Theorem 3 simulation) by plain composition.
 //
-// Cohorts are ordered (slot, then device index) by a min-heap, with a
-// lockstep fast path when every live device acts in the same slot, so
-// the event stream is deterministic and pinned byte-for-byte by the
-// golden trace test in internal/radio/testdata.
+// Cohorts are ordered (slot, then device index) by a min-heap of runs:
+// each stretch of devices that posted the same slot side by side in one
+// round is queued as one linked run, so a lockstep cohort costs one
+// queue entry, and runs from different rounds that interleave on a slot
+// are sorted on release. The event stream is deterministic and pinned
+// byte-for-byte by the golden trace test in internal/radio/testdata.
 //
 // Transmit payloads are interned in per-device mailbox cells for exactly
 // one slot (listeners resolve them at delivery; the cells are cleared
@@ -240,7 +242,7 @@
 //   - internal/core: the Broadcast façade over every algorithm
 //     (single- and multi-source);
 //   - internal/radio: the simulator (time slots, collision semantics,
-//     per-device awake-slot energy metering, min-heap slot scheduler);
+//     per-device awake-slot energy metering, run-queue slot scheduler);
 //   - internal/sweep: the parallel Monte-Carlo experiment engine;
 //   - internal/experiment: the adaptive CI-stopping controller with
 //     journaled checkpoint/resume above it;

@@ -30,11 +30,16 @@
 // enums.
 //
 // Each round, the scheduler steps every awaited device to its next
-// channel action, advances to the minimum requested slot via a min-heap
-// over (slot, device), and resolves the channel for that cohort in
-// ascending device order — the deterministic order the golden trace
-// test pins byte for byte. Devices that scheduled future slots wait in
-// the heap; a run ends when every device has halted.
+// channel action, advances to the minimum requested slot, and resolves
+// the channel for that cohort in ascending device order — the
+// deterministic order the golden trace test pins byte for byte. Pending
+// requests wait in a min-heap of runs: the round's posts are in device
+// order, so each stretch of them asking for one slot is linked into one
+// run and queued as a single (slot, head device) entry. A slot releases
+// its runs in head order and sorts the cohort only when runs from
+// different rounds interleave; when the whole round is one run and
+// nothing else is pending, the round's posts are the cohort. A run ends
+// when every device has halted.
 //
 // Transmit payloads are interned in the transmitter's lane cell for
 // exactly one slot: listeners resolve them at delivery and the scheduler

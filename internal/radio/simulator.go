@@ -23,10 +23,10 @@ type runEntry struct {
 
 // Simulator is a reusable execution engine bound to one topology. It
 // preallocates every per-device structure — envs, action lanes, random
-// streams, the run queue, its links and scratch — once, so that repeated runs
-// on the same graph (Monte-Carlo trials, benchmark iterations) stop
-// churning the allocator: a run allocates one Result and its counter
-// backing array, nothing else.
+// streams, the run queue with its links, and scratch — once, so that
+// repeated runs on the same graph (Monte-Carlo trials, benchmark
+// iterations) stop churning the allocator: a run allocates one Result
+// and its counter backing array, nothing else.
 //
 // Per-device action state lives in structure-of-arrays lanes (slot,
 // kind, payload, feedback, error) rather than a padded per-device

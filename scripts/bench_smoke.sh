@@ -21,7 +21,7 @@ out="${1:-bench-smoke.json}"
 baseline="${2:-BENCH_pr4.json}"
 
 go test -run '^$' \
-  -bench 'BenchmarkSchedulerDense256$|BenchmarkSchedulerSparse256$|BenchmarkSimulatorThroughput$|BenchmarkBroadcastTrials$|BenchmarkSweepTelemetry$' \
+  -bench 'BenchmarkSchedulerDense256$|BenchmarkSchedulerSparse256$|BenchmarkSchedulerStar1024$|BenchmarkSimulatorThroughput$|BenchmarkBroadcastTrials$|BenchmarkSweepTelemetry$' \
   -benchmem -benchtime=100x . |
   awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
     /^Benchmark/ {
