@@ -810,35 +810,17 @@ func (s *Simulator) heapPop() runEntry {
 		if c >= n {
 			break
 		}
-		// m indexes the smallest of node i's children. A full node's
-		// four are compared as two independent pairs, then the pair
-		// winners, keeping the comparisons off one dependency chain.
-		kids := h[c:min(c+4, n)]
-		m := 0
-		if len(kids) == 4 {
-			a, b := 0, 2
-			if runLess(kids[1], kids[0]) {
-				a = 1
-			}
-			if runLess(kids[3], kids[2]) {
-				b = 3
-			}
-			m = a
-			if runLess(kids[b], kids[a]) {
-				m = b
-			}
-		} else {
-			for k := 1; k < len(kids); k++ {
-				if runLess(kids[k], kids[m]) {
-					m = k
-				}
+		m := c
+		for k, end := c+1, min(c+4, n); k < end; k++ {
+			if runLess(h[k], h[m]) {
+				m = k
 			}
 		}
-		if !runLess(kids[m], e) {
+		if !runLess(h[m], e) {
 			break
 		}
-		h[i] = kids[m]
-		i = c + m
+		h[i] = h[m]
+		i = m
 	}
 	if n > 0 {
 		h[i] = e
